@@ -1,10 +1,12 @@
 """Vision front-end perf: naive vs vectorised kernels, tracked in JSON.
 
 The full-scale measurement (``--perf``) times connected-component
-labelling and both thinners on a 240x320 synthetic-studio silhouette,
-asserts the vectorised paths are bit-identical to the naive references
-*and* meet the speedup floors (>=10x CCL, >=3x Zhang-Suen thinning), and
-writes ``BENCH_frontend.json`` at the repo root so the perf trajectory is
+labelling, both thinners and the 3x3 silhouette median on a 240x320
+synthetic-studio silhouette, and the §2 difference image on the matching
+frame/background crop.  It asserts the vectorised paths are bit-identical
+to the naive references *and* meet the speedup floors (>=10x CCL, >=3x
+Zhang-Suen thinning, >=20x median, >=2.5x difference), and writes
+``BENCH_frontend.json`` at the repo root so the perf trajectory is
 diffable PR over PR.
 
 A smoke variant runs in tier-1 on tiny inputs: it exercises the same
@@ -20,7 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.imaging.background import BackgroundSubtractor
 from repro.imaging.components import connected_components
+from repro.imaging.filters import median_filter
 from repro.perf import ProfileReport, Timer, best_of, write_bench_json
 from repro.synth.dataset import make_clip
 from repro.thinning import guo_hall_thin, zhang_suen_thin
@@ -30,20 +34,29 @@ BENCH_PATH = REPO_ROOT / "BENCH_frontend.json"
 TARGET_WIDTH = 320
 
 
-def _studio_silhouette_240x320() -> np.ndarray:
-    """A mid-jump studio silhouette, column-cropped from 240x400 to 240x320."""
+def _studio_inputs_240x320() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """A mid-jump studio silhouette with its RGB frame and background, all
+    column-cropped from 240x400 to 240x320 around the jumper."""
     clip = make_clip("perf-frontend", seed=7, variant=0, target_frames=40)
     silhouette = clip.silhouettes[12]
     columns = np.flatnonzero(silhouette.any(axis=0))
     center = int((columns[0] + columns[-1]) // 2)
     left = min(max(center - TARGET_WIDTH // 2, 0), silhouette.shape[1] - TARGET_WIDTH)
-    cropped = silhouette[:, left : left + TARGET_WIDTH]
+    crop = slice(left, left + TARGET_WIDTH)
+    cropped = silhouette[:, crop]
     assert cropped.shape == (240, TARGET_WIDTH)
     assert cropped.sum() == silhouette.sum(), "crop clipped the jumper"
-    return cropped
+    return cropped, clip.frames[12][:, crop], clip.background[:, crop]
 
 
-def _measure(mask: np.ndarray, repeats: int) -> "dict[str, dict[str, float]]":
+def _entry(fast, naive, repeats: int) -> "dict[str, float]":
+    fast_s, naive_s = best_of(fast, repeats), best_of(naive, repeats)
+    return {"naive_s": naive_s, "fast_s": fast_s, "speedup": naive_s / fast_s}
+
+
+def _measure(
+    mask: np.ndarray, frame: np.ndarray, background: np.ndarray, repeats: int
+) -> "dict[str, dict[str, float]]":
     """Time naive vs fast kernels and check bit-identity along the way."""
     results: dict[str, dict[str, float]] = {}
 
@@ -54,40 +67,44 @@ def _measure(mask: np.ndarray, repeats: int) -> "dict[str, dict[str, float]]":
         labels_naive, count_naive = naive()
         assert count_fast == count_naive
         assert (labels_fast == labels_naive).all()
-        fast_s, naive_s = best_of(fast, repeats), best_of(naive, repeats)
-        results[f"ccl_{connectivity}conn"] = {
-            "naive_s": naive_s,
-            "fast_s": fast_s,
-            "speedup": naive_s / fast_s,
-        }
+        results[f"ccl_{connectivity}conn"] = _entry(fast, naive, repeats)
 
     for name, thin in (("zhangsuen", zhang_suen_thin), ("guohall", guo_hall_thin)):
         lut = lambda: thin(mask)
         naive = lambda: thin(mask, method="naive")
         assert (lut() == naive()).all()
-        lut_s, naive_s = best_of(lut, repeats), best_of(naive, repeats)
-        results[f"thin_{name}"] = {
-            "naive_s": naive_s,
-            "fast_s": lut_s,
-            "speedup": naive_s / lut_s,
-        }
+        results[f"thin_{name}"] = _entry(lut, naive, repeats)
+
+    fast = lambda: median_filter(mask, 3)
+    naive = lambda: median_filter(mask, 3, method="naive")
+    assert (fast() == naive()).all()
+    results["median_3x3"] = _entry(fast, naive, repeats)
+
+    subtractor = BackgroundSubtractor().fit_background(background)
+    fast = lambda: subtractor.difference_image(frame)
+    naive = lambda: subtractor.difference_image(frame, method="naive")
+    assert (fast() == naive()).all()
+    results["difference"] = _entry(fast, naive, repeats)
     return results
 
 
 @pytest.mark.perf
 def test_perf_frontend_full():
-    mask = _studio_silhouette_240x320()
-    results = _measure(mask, repeats=5)
+    mask, frame, background = _studio_inputs_240x320()
+    results = _measure(mask, frame, background, repeats=5)
 
     assert results["ccl_8conn"]["speedup"] >= 10.0
     assert results["ccl_4conn"]["speedup"] >= 10.0
     assert results["thin_zhangsuen"]["speedup"] >= 3.0
+    assert results["median_3x3"]["speedup"] >= 20.0
+    assert results["difference"]["speedup"] >= 2.5
 
     path = write_bench_json(
         BENCH_PATH,
         results,
         context={
-            "input": "synth studio silhouette, clip perf-frontend frame 12",
+            "input": "synth studio silhouette, RGB frame and background, "
+            "clip perf-frontend frame 12",
             "shape": list(mask.shape),
             "foreground_pixels": int(mask.sum()),
             "repeats": 5,
@@ -101,12 +118,18 @@ def test_perf_frontend_smoke(tmp_path):
     """Tiny-input pass through the exact measurement + artifact code."""
     yy, xx = np.mgrid[:60, :80]
     mask = ((yy - 30) ** 2 / 400 + (xx - 40) ** 2 / 900) < 1
-    results = _measure(mask, repeats=1)
+    rng = np.random.default_rng(0)
+    background = rng.integers(0, 40, (60, 80, 3), dtype=np.uint8)
+    frame = background.copy()
+    frame[mask] = 200
+    results = _measure(mask, frame, background, repeats=1)
     assert set(results) == {
         "ccl_4conn",
         "ccl_8conn",
         "thin_zhangsuen",
         "thin_guohall",
+        "median_3x3",
+        "difference",
     }
     for entry in results.values():
         assert entry["naive_s"] > 0 and entry["fast_s"] > 0

@@ -26,10 +26,22 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ImageError
 from repro.imaging.components import largest_component
-from repro.imaging.filters import box_filter, median_filter
+from repro.imaging.filters import box_filter, median_filter, window_sums
 from repro.imaging.image import ensure_rgb
 
 DEFAULT_TH_OBJECT = 20.0
+
+
+def _shift_peak_to_255(d: np.ndarray) -> np.ndarray:
+    """Steps v–vii on ``D``, in place: shift so the max is 255, clamp at 0."""
+    peak = float(d.max())  # step v
+    # Step vi: shift so the max becomes 255. When the frame equals the
+    # background (peak 0) the shift would promote noise to 255, so the
+    # all-zero image is returned as-is.
+    if peak <= 0:
+        return np.zeros_like(d)
+    d -= peak - 255.0
+    return np.maximum(d, 0.0, out=d)  # step vii
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,9 @@ class BackgroundSubtractor:
     median_window: int = 3
     keep_largest_component: bool = True
     _background: "np.ndarray | None" = field(default=None, repr=False)
+    _background_frame: "np.ndarray | None" = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.threshold < 0 or self.threshold > 255:
@@ -88,11 +103,9 @@ class BackgroundSubtractor:
 
     def fit_background(self, background: np.ndarray) -> "BackgroundSubtractor":
         """Store the averaged background ``B_ave`` (steps i of §2)."""
-        rgb = ensure_rgb(background).astype(np.float64)
-        averaged = np.stack(
-            [box_filter(rgb[..., k], self.window) for k in range(3)], axis=-1
-        )
-        self._background = averaged
+        rgb = ensure_rgb(background)
+        self._background_frame = rgb.copy()
+        self._background = self._window_average(rgb)
         return self
 
     @property
@@ -100,31 +113,50 @@ class BackgroundSubtractor:
         """Whether :meth:`fit_background` has been called."""
         return self._background is not None
 
-    def difference_image(self, frame: np.ndarray) -> np.ndarray:
-        """Steps ii–vii: the normalised absolute-difference image ``R``."""
+    def difference_image(self, frame: np.ndarray, method: str = "fast") -> np.ndarray:
+        """Steps ii–vii: the normalised absolute-difference image ``R``.
+
+        ``method="fast"`` (default) averages the frame from exact integer
+        window sums (:func:`~repro.imaging.filters.window_sums`) and runs
+        steps iii–vii in float64 on reused buffers.  ``method="naive"``
+        re-averages frame and background with a float :func:`box_filter`
+        per channel, the reference both methods agree with bit for bit.
+        """
+        if method not in ("fast", "naive"):
+            raise ConfigurationError(
+                f"method must be 'fast' or 'naive', got {method!r}"
+            )
         if self._background is None:
             raise ImageError(
                 "background not fitted; call fit_background() with a clean frame"
             )
-        rgb = ensure_rgb(frame).astype(np.float64)
+        rgb = ensure_rgb(frame)
         if rgb.shape != self._background.shape:
             raise ImageError(
                 f"frame shape {rgb.shape} does not match background shape "
                 f"{self._background.shape}"
             )
-        averaged = np.stack(
-            [box_filter(rgb[..., k], self.window) for k in range(3)], axis=-1
+        if method == "naive":
+            diff = self._box_average(rgb) - self._box_average(self._background_frame)
+            return _shift_peak_to_255(np.abs(diff).sum(axis=-1))
+        averaged = self._window_average(rgb)
+        diff = np.subtract(averaged, self._background, out=averaged)  # step iii
+        np.abs(diff, out=diff)
+        # step iv, summed in the same order as the naive channel reduction
+        d = diff[..., 0] + diff[..., 1]
+        d += diff[..., 2]
+        return _shift_peak_to_255(d)
+
+    def _window_average(self, rgb: np.ndarray) -> np.ndarray:
+        """Steps i–ii from exact integer window sums, as float64 means."""
+        return window_sums(rgb, self.window) / (self.window * self.window)
+
+    def _box_average(self, rgb: np.ndarray) -> np.ndarray:
+        """Steps i–ii with a float ``box_filter`` per channel (reference path)."""
+        data = rgb.astype(np.float64)
+        return np.stack(
+            [box_filter(data[..., k], self.window) for k in range(3)], axis=-1
         )
-        diff = averaged - self._background  # step iii
-        d = np.abs(diff).sum(axis=-1)  # step iv
-        peak = float(d.max())  # step v
-        # Step vi: shift so the max becomes 255. When the frame equals the
-        # background (peak 0) the shift would promote noise to 255, so the
-        # all-zero image is returned as-is.
-        if peak <= 0:
-            return np.zeros_like(d)
-        shifted = d - (peak - 255.0)
-        return np.maximum(shifted, 0.0)  # step vii
 
     def extract(self, frame: np.ndarray) -> ExtractionResult:
         """Run the full extractor on one frame (steps ii–viii + smoothing)."""

@@ -153,3 +153,32 @@ def test_pose_network_inference_prefers_trained_pose():
     evidence = {"Area3": "yes", "Area2": "yes", "Area1": "no", "Area4": "no"}
     posterior = ve.query("Pose", evidence)
     assert posterior.values[1] > 0.5
+
+
+def test_occupancy_likelihood_equals_exact_ve_on_pose_network():
+    """Differential oracle: the classifier's closed-form occupancy
+    likelihood is exact variable elimination on the Fig 7(a) network,
+    ``P(Pose = yes, areas) / P(Pose = yes)`` with the 0.5 root prior."""
+    from repro.bayes.elimination import VariableElimination
+
+    codes = {
+        Pose.STANDING_HANDS_OVERLAP: [(2, 2, None, 1, 1), (2, 3, None, 1, 0)],
+        Pose.STANDING_HANDS_SWUNG_UP: [(2, 2, 2, 1, 1), (3, 2, 2, 0, 1)],
+        Pose.STANDING_HANDS_SWUNG_FORWARD: [(2, 1, 1, 1, 1), (None, 1, 0, 1, 1)],
+    }
+    samples = [
+        (pose, _feature(code, n_areas=4))
+        for pose, pose_codes in codes.items()
+        for code in pose_codes
+    ]
+    model = PoseObservationModel(n_areas=4).fit(samples)
+    unseen = next(pose for pose in Pose if pose not in codes)
+    for pose in list(codes) + [unseen]:
+        ve = VariableElimination(model.build_pose_network(pose))
+        for bits in itertools.product(("no", "yes"), repeat=4):
+            evidence = {"Pose": "yes"}
+            evidence.update({f"Area{k + 1}": bit for k, bit in enumerate(bits)})
+            occupied = frozenset(k for k, bit in enumerate(bits) if bit == "yes")
+            assert ve.evidence_probability(evidence) / 0.5 == pytest.approx(
+                model.occupancy_likelihood(occupied, pose), rel=1e-12
+            )
