@@ -80,7 +80,6 @@ def _measure(
     for replicas in replica_counts:
         with JumpPoseCluster(
             artifact, replicas=replicas, jobs=jobs, batch_size=1,
-            adaptive_batch=False,  # pin: this bench measures routing
         ) as cluster:
             with RoutingClient(cluster.addresses, timeout_s=60.0) as router:
                 router.analyze_clips(clips[:1])  # warm every connection path

@@ -201,10 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1,
                        help="long-lived worker processes")
     serve.add_argument("--batch-size", type=int, default=4,
-                       help="initial clips per worker task (micro-batching)")
-    serve.add_argument("--no-adaptive-batch", action="store_true",
-                       help="pin --batch-size instead of adapting it to "
-                            "live p95 latency (deterministic benchmarking)")
+                       help="clips per worker task (micro-batching)")
     serve.add_argument("--decode", choices=DECODE_MODES, default=None,
                        help="override the artifact's decode mode")
     serve.add_argument("--log-json", type=Path, default=None,
@@ -547,7 +544,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
         decode=args.decode,
-        adaptive_batch=not args.no_adaptive_batch,
         shutdown_token=args.shutdown_token,
         fault_injector=_fault_injector_for(args),
     )
@@ -581,7 +577,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
         decode=args.decode,
-        adaptive_batch=not args.no_adaptive_batch,
     )
     _install_drain_handlers(cluster.request_shutdown)
     try:
@@ -636,7 +631,6 @@ def _serve_supervised(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
         decode=args.decode,
-        adaptive_batch=not args.no_adaptive_batch,
         fault_specs=fault_specs,
         fault_seed=args.fault_seed or 0,
         log_json=args.log_json,
@@ -758,7 +752,6 @@ def _serve_network(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
         decode=args.decode,
-        adaptive_batch=not args.no_adaptive_batch,
         replica_id=args.replica_id,
         fault_injector=_fault_injector_for(args),
     )
@@ -794,7 +787,6 @@ def _serve_local(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
         decode=args.decode,
-        adaptive_batch=not args.no_adaptive_batch,
     ) as service:
         if args.clips_dir is not None:
             emit(service.analyze_directory(args.clips_dir))

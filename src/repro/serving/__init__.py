@@ -13,9 +13,12 @@ Three layers, bottom-up:
   and throughput/latency accounting;
 * :mod:`repro.serving.protocol` — the versioned, length-prefixed
   JSON/binary wire format (frame codec, blob packing, result codec);
+* :mod:`repro.serving.core` — :class:`~repro.serving.core.RequestCore`, the
+  transport-agnostic request core both fronts own (operations, error
+  taxonomy, request accounting, fault seam);
 * :mod:`repro.serving.net` — :class:`JumpPoseServer`, a threaded TCP
-  front over :class:`JumpPoseService` with protocol-v2 request
-  pipelining and per-frame streaming replies;
+  front over the request core with protocol-v2 request pipelining and
+  per-frame streaming replies;
 * :mod:`repro.serving.http` — :class:`JumpPoseHttpServer`, the
   HTTP/1.1 + JSON gateway for producers that speak HTTP rather than
   JPSE frames (browsers, load-balancers, ``curl``);

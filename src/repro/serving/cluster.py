@@ -121,8 +121,7 @@ class JumpPoseCluster:
         host: bind address shared by all replicas.
         base_port: 0 (the default) gives every replica its own ephemeral
             port; a positive value binds replica *i* to ``base_port + i``.
-        jobs / batch_size / decode / adaptive_batch: forwarded to every
-            replica's
+        jobs / batch_size / decode: forwarded to every replica's
             :class:`~repro.serving.service.JumpPoseService`.
         max_payload_bytes / idle_timeout_s / drain_timeout_s: forwarded
             to every replica's server.
@@ -149,7 +148,6 @@ class JumpPoseCluster:
         max_payload_bytes: "int | None" = None,
         idle_timeout_s: "float | None" = None,
         drain_timeout_s: float = 30.0,
-        adaptive_batch: bool = True,
     ) -> None:
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
@@ -167,7 +165,6 @@ class JumpPoseCluster:
                 jobs=jobs,
                 batch_size=batch_size,
                 decode=decode,
-                adaptive_batch=adaptive_batch,
                 replica_id=f"r{index}",
                 drain_timeout_s=drain_timeout_s,
                 **extra,

@@ -27,15 +27,19 @@ producers can submit clips with nothing but ``curl``:
     Stops the gateway — guarded by a shared token (403 without it; the
     endpoint is disabled entirely when no token was configured).
 
+This module is framing only (body framing and limits, stdlib error
+rerouting, the status-code mapping, the shutdown token); operations,
+error taxonomy, accounting, events and the fault seam live in
+:class:`~repro.serving.core.RequestCore`, shared with the JPSE front.
+
 Error taxonomy (see ``docs/protocol.md`` for the normative table): every
 failure is a JSON body ``{"error": {"code": ..., "message": ...}}``.
-Malformed request bytes map to 400 with the
-:class:`~repro.errors.ProtocolError` code preserved, library failures
-(missing path, unreadable archive) to 400 with the exception class as the
-code, :class:`~repro.errors.ModelError` to 500, unknown routes to 404,
-wrong methods to 405, oversized or unframed bodies to 413/411.  Hostile
-bodies never take the gateway down: the worst case closes one connection
-while the listener keeps serving.
+:func:`~repro.serving.core.classify` picks the code; the caller's
+failures map to 400, :class:`~repro.errors.ModelError` and internal bugs
+to 500, and gateway refusals carry their own status (404 unknown route,
+405 wrong method, 411/413 unframed or oversized body).  Hostile bodies
+never take the gateway down: the worst case closes one connection while
+the listener keeps serving.
 """
 
 from __future__ import annotations
@@ -48,41 +52,10 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.errors import (
-    ConfigurationError,
-    ModelError,
-    ProtocolError,
-    ReproError,
-)
-from repro.obs.events import emit_event
-from repro.obs.metrics import get_registry, render_prometheus
+from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.trace import HTTP_TRACE_HEADER, parse_trace_header
-from repro.perf.timing import ProfileReport, Timer
-from repro.serving.protocol import (
-    MAX_PAYLOAD_BYTES,
-    PROTOCOL_VERSION,
-    clip_result_to_wire,
-)
-from repro.serving.service import JumpPoseService
-
-# Shared with the socket front (get-or-create by name): both fronts in
-# one process report into the same series.  Route stems are the `type`
-# label — server-chosen vocabulary, so cardinality stays bounded.
-_METRICS = get_registry()
-_REQUESTS_TOTAL = _METRICS.counter(
-    "jpse_requests_total",
-    "Requests served by the network fronts, by type and outcome.",
-    ("type", "outcome"),
-)
-_REQUEST_LATENCY = _METRICS.histogram(
-    "jpse_request_latency_seconds",
-    "Whole-request wall-clock at the network fronts, by request type.",
-    ("type",),
-)
-_SUPERVISED_RESTARTS = _METRICS.gauge(
-    "jpse_supervised_restarts",
-    "Restart count the supervisor stamped on this replica's environment.",
-)
+from repro.serving.core import RequestCore, bad_request
+from repro.serving.protocol import MAX_PAYLOAD_BYTES, clip_result_to_wire
 
 #: Seconds a keep-alive connection may sit idle before it is dropped.
 DEFAULT_HTTP_IDLE_TIMEOUT_S = 300.0
@@ -98,22 +71,20 @@ DEFAULT_MAX_BODY_BYTES = MAX_PAYLOAD_BYTES + MAX_PAYLOAD_BYTES // 3 + (1 << 20)
 SHUTDOWN_TOKEN_HEADER = "X-JPSE-Shutdown-Token"
 
 
-class _HttpFailure(Exception):
-    """One structured HTTP error reply, raised by routes and body parsing.
+class _HttpFailure(ProtocolError):
+    """An HTTP-only refusal with its own status, raised by the gateway.
 
     ``close`` marks failures where the request body was not (or could not
     be) fully consumed, so HTTP/1.1 keep-alive framing is lost and the
-    connection must be closed after the reply.
+    connection must be closed after the reply — the HTTP face of an
+    unrecoverable :class:`~repro.errors.ProtocolError`.
     """
 
     def __init__(
         self, status: int, code: str, message: str, close: bool = False
     ) -> None:
-        super().__init__(message)
+        super().__init__(message, code=code, recoverable=not close)
         self.status = status
-        self.code = code
-        self.message = message
-        self.close = close
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -191,20 +162,15 @@ class JumpPoseHttpServer:
 
     Args:
         artifact_path: saved model artifact (schema-checked eagerly).
-            Exactly one of ``artifact_path`` / ``service`` must be given.
-        service: an existing :class:`JumpPoseService` to front instead of
-            owning one — lets one service back several fronts.  A shared
-            service is *not* closed by :meth:`close`.
         host: bind address; loopback by default.
         port: bind port; 0 (the default) picks an ephemeral port — read
             :attr:`address` after :meth:`start` for the real one.
-        jobs / batch_size / decode / adaptive_batch: forwarded to the owned
-            :class:`JumpPoseService` (rejected with ``service=``).
-        replica_id: optional replica name, forwarded to an owned service
-            and surfaced by ``/v1/healthz`` and ``/v1/stats`` so a
-            load-balancer probing many gateways can attribute each
-            answer (with ``service=`` the shared service's own id is
-            reported instead).
+        jobs / batch_size / decode: forwarded to the
+            :class:`~repro.serving.service.JumpPoseService` the request
+            core builds.
+        replica_id: optional replica name, surfaced by ``/v1/healthz``
+            and ``/v1/stats`` so a load-balancer probing many gateways
+            can attribute each answer.
         max_body_bytes: request-body ceiling; larger declared bodies are
             rejected with 413 before a single byte is read.  The default
             is the JPSE payload ceiling scaled for base64 inflation, so
@@ -215,25 +181,22 @@ class JumpPoseHttpServer:
         fault_injector: optional
             :class:`~repro.serving.faults.FaultInjector` consulted once
             per routed request (request types are the route stems:
-            ``healthz``, ``stats``, ``analyze``, ``shutdown``) — the
-            same testing seam the socket front carries.  Forwarded to an
-            owned service; ``None`` costs nothing.
+            ``healthz``, ``stats``, ``metrics``, ``analyze``,
+            ``shutdown``) — the same testing seam the socket front
+            carries.  ``None`` costs nothing.
 
     Use as a context manager, or :meth:`start` / :meth:`close`;
     :meth:`serve_forever` blocks until a token-bearing shutdown request
     (or :meth:`close` from another thread).
 
     Raises:
-        ConfigurationError: neither/both of ``artifact_path`` and
-            ``service``, service knobs alongside ``service=``, or a
-            non-positive ``max_body_bytes``.
+        ConfigurationError: a non-positive ``max_body_bytes``.
     """
 
     def __init__(
         self,
-        artifact_path: "str | Path | None" = None,
+        artifact_path: "str | Path",
         *,
-        service: "JumpPoseService | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
         jobs: int = 1,
@@ -244,53 +207,22 @@ class JumpPoseHttpServer:
         shutdown_token: "str | None" = None,
         idle_timeout_s: float = DEFAULT_HTTP_IDLE_TIMEOUT_S,
         fault_injector=None,
-        adaptive_batch: bool = True,
     ) -> None:
-        if (artifact_path is None) == (service is None):
-            raise ConfigurationError(
-                "exactly one of artifact_path and service must be given"
-            )
         if max_body_bytes < 1:
             raise ConfigurationError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        if service is not None:
-            if (
-                jobs != 1
-                or batch_size != 4
-                or decode is not None
-                or adaptive_batch is not True
-            ):
-                raise ConfigurationError(
-                    "jobs/batch_size/decode/adaptive_batch configure an "
-                    "owned service; set them on the shared service instead"
-                )
-            if replica_id is not None:
-                raise ConfigurationError(
-                    "replica_id names an owned service; the shared "
-                    "service already carries its own"
-                )
-            self.service = service
-            self._owns_service = False
-        else:
-            self.service = JumpPoseService(
-                artifact_path, jobs=jobs, batch_size=batch_size,
-                decode=decode, replica_id=replica_id,
-                fault_injector=fault_injector,
-                adaptive_batch=adaptive_batch,
-            )
-            self._owns_service = True
-        self.fault_injector = fault_injector
+        self.core = RequestCore(
+            artifact_path, jobs=jobs, batch_size=batch_size, decode=decode,
+            replica_id=replica_id, fault_injector=fault_injector,
+            transport="http",
+        )
+        self.service = self.core.service
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
         self.shutdown_token = shutdown_token
         self.idle_timeout_s = idle_timeout_s
-        #: wall-clock per route, reported by ``GET /v1/stats``
-        self.request_profile = ProfileReport()
-        self.requests_served = 0
-        self.errors_served = 0
-        self._profile_lock = threading.Lock()
         self._httpd: "_GatewayHTTPServer | None" = None
         self._serve_thread: "threading.Thread | None" = None
         self._shutdown = threading.Event()
@@ -317,8 +249,8 @@ class JumpPoseHttpServer:
             This gateway, so ``JumpPoseHttpServer(...).start()`` chains.
 
         Raises:
-            OSError: the bind failed (port taken, bad host); an owned
-                service is closed again before the error propagates.
+            OSError: the bind failed (port taken, bad host); the service
+                is closed again before the error propagates.
         """
         if self._httpd is not None:
             return self
@@ -328,8 +260,7 @@ class JumpPoseHttpServer:
                 (self.host, self.port), _GatewayHandler, self
             )
         except OSError:
-            if self._owns_service:
-                self.service.close()
+            self.service.close()
             raise
         self._shutdown.clear()
         self._httpd = httpd
@@ -348,11 +279,11 @@ class JumpPoseHttpServer:
         self.close()
 
     def close(self) -> None:
-        """Stop the listener, join the serving thread, close an owned service.
+        """Stop the listener, join the serving thread, close the service.
 
         Idempotent, and safe to call while requests are in flight: the
-        accept loop stops first, in-flight handler threads are daemonic,
-        and a shared (``service=``) backend is left running for its owner.
+        accept loop stops first and in-flight handler threads are
+        daemonic.
         """
         self._shutdown.set()
         httpd, self._httpd = self._httpd, None
@@ -363,8 +294,7 @@ class JumpPoseHttpServer:
             if self._serve_thread is not threading.current_thread():
                 self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-        if self._owns_service:
-            self.service.close()
+        self.service.close()
 
     def __enter__(self) -> "JumpPoseHttpServer":
         """Start on entry, so ``with JumpPoseHttpServer(...)`` serves."""
@@ -374,12 +304,14 @@ class JumpPoseHttpServer:
         """Close on exit, even when the body raised."""
         self.close()
 
-    def _initiate_shutdown(self) -> None:
-        """Stop accepting and wake :meth:`serve_forever`, off-thread.
+    def request_shutdown(self) -> None:
+        """Start the graceful shutdown; signal-safe.
 
-        Called from a handler thread after the ``bye`` reply is on the
-        wire; ``httpd.shutdown()`` blocks until the accept loop exits, so
-        it runs on a helper thread instead of stalling the handler.
+        What a token-bearing ``POST /v1/shutdown`` does once its reply
+        is out, and what the ``serve`` CLI's SIGTERM/SIGINT handlers
+        call: stops the listener and wakes :meth:`serve_forever`.
+        ``httpd.shutdown()`` blocks until the accept loop exits, so it
+        runs on a helper thread instead of stalling a handler.
         """
         self._shutdown.set()
         httpd = self._httpd
@@ -387,16 +319,6 @@ class JumpPoseHttpServer:
             threading.Thread(
                 target=httpd.shutdown, name="jumppose-http-stop", daemon=True
             ).start()
-
-    def request_shutdown(self) -> None:
-        """Start the graceful shutdown from this process; signal-safe.
-
-        The local counterpart of ``POST /v1/shutdown`` (no token needed
-        — the caller is already inside the process): stops the listener
-        and wakes :meth:`serve_forever`.  The ``serve`` CLI's
-        SIGTERM/SIGINT handlers call this.
-        """
-        self._initiate_shutdown()
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -410,16 +332,15 @@ class JumpPoseHttpServer:
     }
 
     def _dispatch(self, handler: _GatewayHandler, method: str) -> None:
-        """Resolve one request to a route, time it, and send the reply."""
+        """Resolve one request to a route and run it through the core."""
         path = handler.path.split("?", 1)[0]
         route = self._ROUTES.get(path)
         stage = path.rsplit("/", 1)[-1] if route is not None else "unrouted"
         # Trace context off the X-Request-Id header: lenient (junk means
         # untraced, never a rejection), echoed on every reply below, and
         # stamped on the request's event-log line.
-        handler.jpse_trace = parse_trace_header(
-            handler.headers.get(HTTP_TRACE_HEADER)
-        )
+        trace = parse_trace_header(handler.headers.get(HTTP_TRACE_HEADER))
+        handler.jpse_trace = trace
         handler.jpse_stage = stage
         # a request we refuse to route may still carry a body; left
         # unread it would corrupt keep-alive framing, so such refusals
@@ -450,108 +371,44 @@ class JumpPoseHttpServer:
                 # but leaving it unread would corrupt keep-alive framing
                 # (the next request would be parsed from the stale bytes)
                 self._read_body(handler, required=False)
-            if not self._apply_fault(handler, stage):
-                return
-            with Timer() as timer:
-                status, payload, then_shutdown = getattr(self, route_name)(
-                    handler
-                )
-        except _HttpFailure as failure:
-            self._send_error(handler, failure)
+        except _HttpFailure as refusal:
+            self._send_failure(handler, self.core.reject(stage, trace, refusal))
             return
-        except ProtocolError as exc:
-            self._send_error(handler, _HttpFailure(400, exc.code, str(exc)))
+        action = self.core.fault(stage)
+        if action != "run":
+            handler.close_connection = True
+            if action == "corrupt":
+                try:
+                    handler.wfile.write(b"\xff\x00GARBAGE-NOT-HTTP\r\n" * 3)
+                except OSError:
+                    pass  # the peer is already gone; the drop stands
             return
-        except ModelError as exc:
-            # the model/service side broke, not the request
-            self._send_error(
-                handler, _HttpFailure(500, type(exc).__name__, str(exc))
-            )
-            return
-        except ReproError as exc:
-            # a library failure for this request (missing path, unreadable
-            # archive); the exception class is the code, as on the socket
-            self._send_error(
-                handler, _HttpFailure(400, type(exc).__name__, str(exc))
-            )
-            return
-        except Exception as exc:
-            # never let an unexpected bug kill the handler with a bare
-            # traceback; the request state is unknown, so close
-            self._send_error(
-                handler,
-                _HttpFailure(
-                    500,
-                    "internal-error",
-                    f"{type(exc).__name__}: {exc}",
-                    close=True,
-                ),
-            )
-            return
-        with self._profile_lock:
-            self.request_profile.add(stage, timer.elapsed)
-            self.requests_served += 1
-        _REQUESTS_TOTAL.inc(type=stage, outcome="ok")
-        _REQUEST_LATENCY.observe(timer.elapsed, type=stage)
-        self._emit_request_event(handler, stage, "ok", timer.elapsed)
-        if isinstance(payload, str):
-            # the metrics route replies with Prometheus text exposition,
-            # not JSON — the one non-JSON body the gateway serves
-            self._send_text(handler, status, payload)
-        else:
-            payload.setdefault("latency_s", timer.elapsed)
-            self._send_json(handler, status, payload)
-        if then_shutdown:
+
+        def encode(payload, latency_s, stages):
+            # the request event carries `stages`; the reply body stays
+            # as documented in docs/protocol.md
+            if isinstance(payload, str):
+                # the metrics route replies with Prometheus text
+                # exposition, not JSON — the one non-JSON body
+                body = payload.encode("utf-8")
+                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            else:
+                payload.setdefault("latency_s", latency_s)
+                body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+                content_type = "application/json"
+            return lambda: self._send_body(handler, 200, body, content_type)
+
+        failure = self.core.run(
+            stage, trace,
+            lambda profile: getattr(self, route_name)(handler, profile),
+            encode,
+        )
+        if failure is not None:
+            self._send_failure(handler, failure)
+        elif stage == "shutdown":
             # only after the reply is on the wire, so the requester gets
             # its acknowledgement before the listener goes away
-            self._initiate_shutdown()
-
-    def _emit_request_event(
-        self,
-        handler: _GatewayHandler,
-        stage: str,
-        outcome: str,
-        latency_s: "float | None",
-        code: "str | None" = None,
-    ) -> None:
-        """One ``request`` line in the JSON event log (no-op when off)."""
-        fields: "dict[str, object]" = {
-            "type": stage,
-            "outcome": outcome,
-            "transport": "http",
-        }
-        if self.service.replica_id is not None:
-            fields["replica_id"] = self.service.replica_id
-        if latency_s is not None:
-            fields["latency_s"] = latency_s
-        trace = getattr(handler, "jpse_trace", None)
-        if trace is not None:
-            fields.update(trace.event_fields())
-        if code is not None:
-            fields["code"] = code
-        emit_event("request", **fields)
-
-    def _apply_fault(self, handler: _GatewayHandler, stage: str) -> bool:
-        """Consult the fault injector for one routed request.
-
-        Mirrors the socket front's seam: ``crash`` never returns,
-        ``hang``/``slow`` have already slept inside the injector,
-        ``drop`` closes the connection without a reply, and ``corrupt``
-        writes non-HTTP garbage where the status line belongs before
-        closing.  Returns False when the request must not be handled.
-        """
-        if self.fault_injector is None:
-            return True
-        action = self.fault_injector.on_request(stage)
-        if action is None or action.kind in ("hang", "slow"):
-            return True
-        handler.close_connection = True
-        if action.kind == "corrupt":
-            try:
-                handler.wfile.write(b"\xff\x00GARBAGE-NOT-HTTP\r\n" * 3)
-            except OSError:
-                pass  # the peer is already gone; the drop stands
-        return False
+            self.request_shutdown()
 
     def _send_body(
         self,
@@ -577,43 +434,26 @@ class JumpPoseHttpServer:
         except OSError:
             handler.close_connection = True  # peer vanished mid-reply
 
-    def _send_json(
-        self,
-        handler: _GatewayHandler,
-        status: int,
-        payload: "dict[str, object]",
-        close: bool = False,
-    ) -> None:
-        """Write one JSON response with explicit framing headers."""
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        self._send_body(handler, status, body, "application/json", close)
+    def _send_failure(self, handler: _GatewayHandler, failure) -> None:
+        """Send one already-accounted failure as ``{"error": ...}``.
 
-    def _send_text(
-        self, handler: _GatewayHandler, status: int, text: str
-    ) -> None:
-        """Write one plain-text response (the Prometheus exposition)."""
+        The status is the refusal's own (404, 411, ...) or follows the
+        failure side: the caller's 400, the model's or an internal 500.
+        Unrecoverable failures close the connection.
+        """
+        status = getattr(failure.error, "status", None)
+        body = json.dumps(
+            {"error": {"code": failure.code, "message": failure.message}},
+            separators=(",", ":"),
+        ).encode("utf-8")
+        if status is None:
+            status = 400 if failure.fault == "caller" else 500
         self._send_body(
             handler,
             status,
-            text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    def _send_error(
-        self, handler: _GatewayHandler, failure: _HttpFailure
-    ) -> None:
-        """Send one structured ``{"error": ...}`` reply and count it."""
-        with self._profile_lock:
-            self.errors_served += 1
-        stage = getattr(handler, "jpse_stage", "unframed")
-        _REQUESTS_TOTAL.inc(type=stage, outcome="error")
-        self._emit_request_event(handler, stage, "error", None,
-                                 code=failure.code)
-        self._send_json(
-            handler,
-            failure.status,
-            {"error": {"code": failure.code, "message": failure.message}},
-            close=failure.close,
+            body,
+            "application/json",
+            close=not failure.recoverable,
         )
 
     #: JSON error codes for the statuses the stdlib handler generates
@@ -638,12 +478,12 @@ class JumpPoseHttpServer:
         The connection always closes: request framing is unknown here.
         """
         code = self._STDLIB_ERROR_CODES.get(status, "http-error")
-        self._send_error(
-            handler,
-            _HttpFailure(
-                status, code, message or f"HTTP {status}", close=True
-            ),
+        refusal = _HttpFailure(
+            status, code, message or f"HTTP {status}", close=True
         )
+        stage = getattr(handler, "jpse_stage", "unframed")
+        trace = getattr(handler, "jpse_trace", None)
+        self._send_failure(handler, self.core.reject(stage, trace, refusal))
 
     def _read_body(
         self, handler: _GatewayHandler, required: bool = True
@@ -656,10 +496,11 @@ class JumpPoseHttpServer:
 
         Raises:
             _HttpFailure: 411 without a Content-Length (chunked uploads
-                are not accepted), 400 for an unparseable length, 413
-                when the declared length exceeds ``max_body_bytes`` —
-                checked *before* any byte is read, so an oversized upload
-                costs the gateway no memory.
+                are not accepted), 413 when the declared length exceeds
+                ``max_body_bytes`` — checked *before* any byte is read,
+                so an oversized upload costs the gateway no memory.
+            ProtocolError: an unparseable length or a truncated body
+                (400; framing is lost, so the connection closes).
         """
         declared = handler.headers.get("Content-Length")
         if declared is None:
@@ -675,18 +516,14 @@ class JumpPoseHttpServer:
         try:
             length = int(declared)
         except ValueError:
-            raise _HttpFailure(
-                400,
-                "bad-request",
+            raise ProtocolError(
                 f"Content-Length {declared!r} is not an integer",
-                close=True,
+                code="bad-request",
             )
         if length < 0:
-            raise _HttpFailure(
-                400,
-                "bad-request",
+            raise ProtocolError(
                 f"Content-Length must be >= 0, got {length}",
-                close=True,
+                code="bad-request",
             )
         if length > self.max_body_bytes:
             raise _HttpFailure(
@@ -701,12 +538,10 @@ class JumpPoseHttpServer:
         while remaining:
             chunk = handler.rfile.read(remaining)
             if not chunk:
-                raise _HttpFailure(
-                    400,
-                    "truncated-body",
+                raise ProtocolError(
                     f"connection closed mid-body "
                     f"({length - remaining}/{length} bytes)",
-                    close=True,
+                    code="truncated-body",
                 )
             chunks.append(chunk)
             remaining -= len(chunk)
@@ -718,22 +553,22 @@ class JumpPoseHttpServer:
         try:
             parsed = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpFailure(
-                400, "bad-json", f"request body is not valid JSON: {exc}"
+            raise ProtocolError(
+                f"request body is not valid JSON: {exc}",
+                code="bad-json",
+                recoverable=True,
             )
         if not isinstance(parsed, dict):
-            raise _HttpFailure(
-                400,
-                "bad-request",
+            raise bad_request(
                 f"request body must be a JSON object, "
-                f"got {type(parsed).__name__}",
+                f"got {type(parsed).__name__}"
             )
         return parsed
 
     # ------------------------------------------------------------------
-    # Routes — each returns (status, payload, then_shutdown)
+    # Routes — each returns the reply payload (a JSON object, or text)
     # ------------------------------------------------------------------
-    def _route_healthz(self, handler: _GatewayHandler):
+    def _route_healthz(self, handler: _GatewayHandler, profile):
         """Liveness + model identification (the socket ``ping`` analog).
 
         Carries ``quality_alert`` — the service's pose-quality alert
@@ -742,130 +577,75 @@ class JumpPoseHttpServer:
         long dispatch holds the lock), so the value may trail an
         in-flight dispatch by a few clips.
         """
-        payload: "dict[str, object]" = {
+        return {
             "status": "ok",
-            "protocol_version": PROTOCOL_VERSION,
-            "model_schema": self.service.metadata.get("schema"),
-            "jobs": self.service.jobs,
+            **self.core.identity(),
             "quality_alert": self.service.stats.quality_dict()["alert"],
         }
-        if self.service.replica_id is not None:
-            payload["replica_id"] = self.service.replica_id
-        payload["supervision"] = self.service.supervision_snapshot()
-        return 200, payload, False
 
-    def _route_metrics(self, handler: _GatewayHandler):
-        """Prometheus text exposition of the process-global registry.
+    def _route_metrics(self, handler: _GatewayHandler, profile):
+        """Prometheus text exposition (``text/plain; version=0.0.4``)."""
+        return self.core.metrics_text()
 
-        The one non-JSON route: the reply body is ``text/plain;
-        version=0.0.4``.  The supervision gauge is refreshed at scrape
-        time (the restart count lives in this replica's environment, so
-        reading it per scrape keeps it off every hot path).
-        """
-        supervision = self.service.supervision_snapshot()
-        restarts = supervision.get("restarts", 0)
-        if isinstance(restarts, int):
-            _SUPERVISED_RESTARTS.set(restarts)
-        return 200, render_prometheus(), False
+    def _route_stats(self, handler: _GatewayHandler, profile):
+        """Service throughput/latency plus per-route gateway counters."""
+        return self.core.stats()
 
-    def _route_stats(self, handler: _GatewayHandler):
-        """Service throughput/latency plus per-route gateway counters.
-
-        The service block carries a ``replica_id`` when the backing
-        service was started with one, so stats scraped from many
-        replicas stay attributable after aggregation (see
-        ``docs/serving.md``).
-        """
-        with self._profile_lock:
-            server_stats = {
-                "requests": self.requests_served,
-                "errors": self.errors_served,
-                "request_stages": self.request_profile.as_dict(),
-            }
-        payload: "dict[str, object]" = {
-            "service": self.service.stats_snapshot(),
-            "server": server_stats,
-        }
-        if self.service.replica_id is not None:
-            payload["replica_id"] = self.service.replica_id
-        return 200, payload, False
-
-    def _route_analyze(self, handler: _GatewayHandler):
+    def _route_analyze(self, handler: _GatewayHandler, profile):
         """Decode clips named by exactly one of clips/paths/directory."""
         request = self._parse_json_object(self._read_body(handler))
         selectors = [
             key for key in ("clips", "paths", "directory") if key in request
         ]
         if len(selectors) != 1:
-            raise _HttpFailure(
-                400,
-                "bad-request",
+            raise bad_request(
                 "the request must carry exactly one of "
                 "'clips', 'paths', 'directory'; "
-                f"got {selectors or 'none of them'}",
+                f"got {selectors or 'none of them'}"
             )
-        selector = selectors[0]
-        if selector == "clips":
-            results = self.service.analyze_clips(
-                self._decode_clips(request["clips"])
-            )
-        elif selector == "paths":
-            paths = request["paths"]
-            if not isinstance(paths, list) or not all(
-                isinstance(path, str) for path in paths
-            ):
-                raise _HttpFailure(
-                    400, "bad-request", "'paths' must be a list of strings"
-                )
-            results = self.service.analyze_paths(paths)
-        else:
-            directory = request["directory"]
-            if not isinstance(directory, str):
-                raise _HttpFailure(
-                    400, "bad-request", "'directory' must be a string"
-                )
-            results = self.service.analyze_directory(directory)
-        payload = {
+        (mode,) = selectors
+        results = self.core.analyze(
+            mode,
+            self._decode_base64(request[mode]) if mode == "clips"
+            else request[mode],
+            profile,
+        )
+        return {
             "results": [clip_result_to_wire(result) for result in results],
             "count": len(results),
         }
-        return 200, payload, False
 
     @staticmethod
-    def _decode_clips(entries: object) -> list:
-        """Turn a list of base64 archive strings into clips (400 on junk)."""
-        from repro.synth.io import clip_from_bytes
-
+    def _decode_base64(entries: object) -> "list[bytes]":
+        """Turn a list of base64 archive strings into archive bytes."""
         if not isinstance(entries, list) or not all(
             isinstance(entry, str) for entry in entries
         ):
-            raise _HttpFailure(
-                400,
-                "bad-request",
-                "'clips' must be a list of base64-encoded archive strings",
+            raise bad_request(
+                "'clips' must be a list of base64-encoded archive strings"
             )
-        clips = []
+        blobs = []
         for index, entry in enumerate(entries):
             try:
-                blob = base64.b64decode(entry.encode("ascii"), validate=True)
-            except (binascii.Error, UnicodeEncodeError) as exc:
-                raise _HttpFailure(
-                    400, "bad-base64", f"clip {index} is not valid base64: {exc}"
+                blobs.append(
+                    base64.b64decode(entry.encode("ascii"), validate=True)
                 )
-            clips.append(clip_from_bytes(blob))  # DatasetError -> 400
-        return clips
+            except (binascii.Error, UnicodeEncodeError) as exc:
+                raise ProtocolError(
+                    f"clip {index} is not valid base64: {exc}",
+                    code="bad-base64",
+                    recoverable=True,
+                )
+        return blobs
 
-    def _route_shutdown(self, handler: _GatewayHandler):
+    def _route_shutdown(self, handler: _GatewayHandler, profile):
         """Stop the gateway iff the caller presents the shared token."""
         body = self._read_body(handler)
         presented = handler.headers.get(SHUTDOWN_TOKEN_HEADER)
         if presented is None and body:
-            request = self._parse_json_object(body)
-            token_field = request.get("token")
+            token_field = self._parse_json_object(body).get("token")
             if token_field is not None and not isinstance(token_field, str):
-                raise _HttpFailure(
-                    400, "bad-request", "'token' must be a string"
-                )
+                raise bad_request("'token' must be a string")
             presented = token_field
         if self.shutdown_token is None:
             raise _HttpFailure(
@@ -877,4 +657,4 @@ class JumpPoseHttpServer:
             presented.encode("utf-8"), self.shutdown_token.encode("utf-8")
         ):
             raise _HttpFailure(403, "bad-token", "shutdown token mismatch")
-        return 200, {"status": "bye"}, True
+        return {"status": "bye"}

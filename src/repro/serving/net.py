@@ -1,4 +1,4 @@
-"""The network front: a threaded TCP server around :class:`JumpPoseService`.
+"""The JPSE socket front: a threaded TCP codec over the request core.
 
 :class:`JumpPoseServer` binds a listening socket (port 0 picks an
 ephemeral port, surfaced via :attr:`address`), accepts connections on a
@@ -21,11 +21,13 @@ Request types (see :mod:`repro.serving.protocol` for the frame layout):
 ``metrics``            Prometheus text exposition in the reply payload
 ``shutdown``           reply ``bye``, then stop accepting and drain
 
-Observability (PR 7): a v2 request header may carry a ``trace`` object
-(see :mod:`repro.obs.trace`); it is echoed on the reply and stamped on
-the per-request line of the JSON event log, request counters and
-latency histograms feed the process-global metrics registry, and junk
-trace fields are ignored rather than rejected.
+This module is framing only (frames, connection state, v2 pipelining,
+stream partials, ``corrupt`` garbage); operations, error taxonomy,
+accounting, events and the fault seam live in
+:class:`~repro.serving.core.RequestCore`, shared with the HTTP gateway.
+A v2 request header may carry a ``trace`` object (see
+:mod:`repro.obs.trace`), echoed on the reply and stamped on the request's
+event; junk trace fields are ignored rather than rejected.
 
 Protocol-v2 requests may carry an ``id``, in which case they are
 *pipelined*: the read loop hands them to per-request daemon threads and
@@ -51,41 +53,23 @@ import socket
 import threading
 from pathlib import Path
 
-from repro.errors import ConfigurationError, ProtocolError, ReproError
-from repro.obs.events import emit_event
-from repro.obs.metrics import get_registry, render_prometheus
+from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.trace import parse_trace_header
-from repro.perf.timing import ProfileReport, Timer
+from repro.serving.core import RequestCore, bad_request
 from repro.serving.protocol import (
     MAX_INFLIGHT_REQUESTS,
     MAX_PAYLOAD_BYTES,
-    PROTOCOL_VERSION,
     clip_result_to_wire,
+    frame_head,
     frame_result_to_wire,
     read_frame,
-    send_frame,
     unpack_blobs,
 )
-from repro.serving.service import JumpPoseService
 
-# Request accounting exported at /v1/metrics and the `metrics` request.
-# Labels are always server-chosen vocabulary (validated request types,
-# "unknown", "unframed"), never raw wire bytes, so cardinality is bounded
-# by construction on top of the registry's own MAX_LABEL_SETS ceiling.
-_METRICS = get_registry()
-_REQUESTS_TOTAL = _METRICS.counter(
-    "jpse_requests_total",
-    "Requests served by the network fronts, by type and outcome.",
-    ("type", "outcome"),
-)
-_REQUEST_LATENCY = _METRICS.histogram(
-    "jpse_request_latency_seconds",
-    "Whole-request wall-clock at the network fronts, by request type.",
-    ("type",),
-)
-_SUPERVISED_RESTARTS = _METRICS.gauge(
-    "jpse_supervised_restarts",
-    "Restart count the supervisor stamped on this replica's environment.",
+#: Every request type the socket front serves.
+_REQUEST_TYPES = (
+    "ping", "analyze_clips", "analyze_paths", "analyze_directory",
+    "stream_analyze", "stats", "metrics", "shutdown",
 )
 
 
@@ -94,9 +78,10 @@ class _Connection:
 
     ``send_lock`` serialises frame writes so pipelined replies (and
     mid-stream partial frames) never interleave bytes; ``closing`` lets
-    a request thread tell the read loop to stop; ``inflight`` counts
-    id-bearing requests being handled on this connection (the
-    per-connection pipelining ceiling).
+    a request thread tell the read loop to stop; ``broken`` marks a
+    failed write (the peer is gone, so later writes are skipped);
+    ``inflight`` counts id-bearing requests being handled on this
+    connection (the per-connection pipelining ceiling).
     """
 
     def __init__(self, conn: socket.socket) -> None:
@@ -104,6 +89,7 @@ class _Connection:
         self.send_lock = threading.Lock()
         self.state_lock = threading.Lock()
         self.closing = threading.Event()
+        self.broken = False
         self.inflight = 0
         self.threads: "list[threading.Thread]" = []
 
@@ -127,8 +113,9 @@ class JumpPoseServer:
         host: bind address; loopback by default.
         port: bind port; 0 (the default) picks an ephemeral port — read
             :attr:`address` after :meth:`start` for the real one.
-        jobs / batch_size / decode / adaptive_batch: forwarded to
-            :class:`JumpPoseService`.
+        jobs / batch_size / decode: forwarded to the
+            :class:`~repro.serving.service.JumpPoseService` the request
+            core builds.
         replica_id: optional replica name surfaced by ``ping`` and the
             ``stats`` roll-up (set by
             :class:`~repro.serving.cluster.JumpPoseCluster`).
@@ -159,29 +146,23 @@ class JumpPoseServer:
         idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
         drain_timeout_s: float = 30.0,
         fault_injector=None,
-        adaptive_batch: bool = True,
     ) -> None:
         if max_payload_bytes < 1:
             raise ConfigurationError(
                 f"max_payload_bytes must be >= 1, got {max_payload_bytes}"
             )
-        self.service = JumpPoseService(
+        self.core = RequestCore(
             artifact_path, jobs=jobs, batch_size=batch_size, decode=decode,
             replica_id=replica_id, fault_injector=fault_injector,
-            adaptive_batch=adaptive_batch,
+            transport="jpse",
         )
+        self.service = self.core.service
         self.replica_id = replica_id
         self.host = host
         self.port = port
         self.max_payload_bytes = max_payload_bytes
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self.fault_injector = fault_injector
-        #: wall-clock per request type, reported by the ``stats`` request
-        self.request_profile = ProfileReport()
-        self.requests_served = 0
-        self.errors_served = 0
-        self._profile_lock = threading.Lock()
         self._listener: "socket.socket | None" = None
         self._accept_thread: "threading.Thread | None" = None
         self._connections: "set[socket.socket]" = set()
@@ -330,7 +311,9 @@ class JumpPoseServer:
                             reader, max_payload_bytes=self.max_payload_bytes
                         )
                     except ProtocolError as exc:
-                        self._reply_error(state, exc.code, str(exc))
+                        self._reply_error(
+                            state, self.core.reject("unframed", None, exc)
+                        )
                         if exc.recoverable:
                             continue
                         break  # framing lost — drop this connection
@@ -353,7 +336,7 @@ class JumpPoseServer:
                     if not keep_going:
                         break
         except OSError:
-            pass  # peer vanished mid-write; nothing left to tell it
+            pass  # peer vanished or went idle; nothing left to tell it
         finally:
             with state.state_lock:
                 pending = list(state.threads)
@@ -363,6 +346,7 @@ class JumpPoseServer:
                 self._connections.discard(conn)
             conn.close()
 
+
     # ------------------------------------------------------------------
     # v2 pipelining
     # ------------------------------------------------------------------
@@ -370,19 +354,18 @@ class JumpPoseServer:
         """Run one id-bearing request on its own thread, ceiling-gated."""
         with state.state_lock:
             state.threads = [t for t in state.threads if t.is_alive()]
-            if state.inflight >= MAX_INFLIGHT_REQUESTS:
-                overflow = True
-            else:
+            overflow = state.inflight >= MAX_INFLIGHT_REQUESTS
+            if not overflow:
                 state.inflight += 1
-                overflow = False
         if overflow:
-            self._reply_error(
-                state,
-                "pipeline-overflow",
+            error = ProtocolError(
                 f"more than {MAX_INFLIGHT_REQUESTS} requests in flight "
                 f"on one connection",
-                request_id=frame.request_id,
-                version=frame.version,
+                code="pipeline-overflow",
+                recoverable=True,
+            )
+            self._reply_error(
+                state, self.core.reject("unframed", None, error), frame
             )
             return
         with self._inflight_cv:
@@ -400,11 +383,7 @@ class JumpPoseServer:
     def _run_pipelined(self, state: _Connection, frame) -> None:
         """Thread body for one pipelined request."""
         try:
-            try:
-                keep_going = self._serve_frame(state, frame)
-            except OSError:
-                keep_going = False  # peer vanished mid-reply
-            if not keep_going:
+            if not self._serve_frame(state, frame):
                 state.hang_up()
         finally:
             with state.state_lock:
@@ -413,355 +392,170 @@ class JumpPoseServer:
                 self._inflight -= 1
                 self._inflight_cv.notify_all()
 
-    def _send(
-        self,
-        state: _Connection,
-        header: "dict[str, object]",
-        payload: bytes,
-        version: int,
-    ) -> None:
-        """Write one frame under the connection's send lock."""
+    # ------------------------------------------------------------------
+    # Frames
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _write(state: _Connection, head: bytes, payload: bytes = b"") -> None:
+        """Write one frame's bytes under the connection's send lock.
+
+        Delivery is best effort: a peer that vanished (or stopped
+        reading past the idle timeout) breaks and hangs up the
+        connection, later writes to it are skipped, and the request it
+        asked for still counts as served.
+        """
         with state.send_lock:
-            send_frame(state.conn, header, payload, version=version)
+            if state.broken:
+                return
+            try:
+                state.conn.sendall(head)
+                if payload:
+                    state.conn.sendall(payload)
+            except OSError:
+                state.broken = True
+                state.hang_up()
+
+    def _reply_error(
+        self, state: _Connection, failure, frame=None, trace=None
+    ) -> None:
+        """Send an already-accounted failure as an ``error`` frame.
+
+        Read-level failures (no decoded ``frame`` to mirror) get a
+        version-1 error frame, which every peer can read; frame-level
+        failures mirror the request's version and — for pipelined
+        requests — its ``id`` so the client can match the error to the
+        request it answers.  ``trace`` is echoed so a failed hop stays
+        attributable to its trace.
+        """
+        header: "dict[str, object]" = {
+            "type": "error", "code": failure.code, "message": failure.message,
+        }
+        if trace is not None:
+            header["trace"] = trace.to_header()
+        if frame is not None and frame.request_id is not None:
+            header["id"] = frame.request_id  # only v2 frames carry ids
+        version = frame.version if frame is not None else 1
+        self._write(state, frame_head(header, b"", version))
 
     def _serve_frame(self, state: _Connection, frame) -> bool:
         """Handle one well-framed request; False ends the connection."""
         request_type = frame.header.get("type")
-        rid = frame.request_id
-        version = frame.version
         # Lenient by contract: a junk/oversized/ill-typed trace field
         # parses to None and the request runs untraced (see
         # repro.obs.trace); only the trace goes missing, never the reply.
         trace = parse_trace_header(frame.header.get("trace"))
-        if not isinstance(request_type, str):
-            self._reply_error(
-                state, "bad-request", "header is missing a string 'type'",
-                request_id=rid, version=version, trace=trace,
-            )
-            return True
-        if not self._apply_fault(state, request_type):
-            return False
-        if request_type == "stream_analyze":
-            return self._serve_stream(state, frame)
-        handler = self._HANDLERS.get(request_type)
-        if handler is None:
-            self._reply_error(
-                state,
-                "bad-request",
-                f"unknown request type {request_type!r} "
-                f"(expected one of "
-                f"{sorted([*self._HANDLERS, 'stream_analyze'])})",
-                request_id=rid,
-                version=version,
-                request_type="unknown",
-                trace=trace,
-            )
-            return True
-        with Timer() as timer:
-            try:
-                header, payload, keep_going = handler(self, frame)
-            except ProtocolError as exc:
-                self._reply_error(state, exc.code, str(exc),
-                                  request_id=rid, version=version,
-                                  request_type=request_type, trace=trace)
-                return exc.recoverable
-            except ReproError as exc:
-                # a library failure for this request, not a server failure
-                self._reply_error(state, type(exc).__name__, str(exc),
-                                  request_id=rid, version=version,
-                                  request_type=request_type, trace=trace)
-                return True
-            except Exception as exc:
-                # never let an unexpected bug kill the connection thread
-                # with a bare traceback: report, then close (the request
-                # state is unknown, so the connection is not kept)
-                self._reply_error(
-                    state, "internal-error", f"{type(exc).__name__}: {exc}",
-                    request_id=rid, version=version,
-                    request_type=request_type, trace=trace,
-                )
-                return False
-        if rid is not None:
-            header["id"] = rid
-        if trace is not None:
-            header["trace"] = trace.to_header()
-        header.setdefault("latency_s", timer.elapsed)
-        with self._profile_lock:
-            self.request_profile.add(request_type, timer.elapsed)
-            self.requests_served += 1
-        _REQUESTS_TOTAL.inc(type=request_type, outcome="ok")
-        _REQUEST_LATENCY.observe(timer.elapsed, type=request_type)
-        self._emit_request_event(
-            request_type, "ok", timer.elapsed, trace,
-            stages=header.get("stages"),
+        if isinstance(request_type, str):
+            action = self.core.fault(request_type)
+            if action == "corrupt":
+                self._write(state, b"\xff\x00GARBAGE-NOT-A-FRAME" * 3)
+            if action != "run":
+                return False  # drop and corrupt both end the connection
+            label = request_type if request_type in _REQUEST_TYPES else "unknown"
+        else:
+            label = "unframed"
+
+        def encode(reply, latency_s, stages):
+            header, payload = reply
+            if frame.request_id is not None:
+                header["id"] = frame.request_id
+            if trace is not None:
+                header["trace"] = trace.to_header()
+            header.setdefault("latency_s", latency_s)
+            if stages:
+                # this request's own worker stage spans, distinct from
+                # the lifetime `stats` accumulation
+                header["stages"] = stages
+            head = frame_head(header, payload, frame.version)
+            return lambda: self._write(state, head, payload)
+
+        failure = self.core.run(
+            label, trace,
+            lambda profile: self._operate(state, frame, profile),
+            encode,
         )
-        try:
-            self._send(state, header, payload, version)
-        except ProtocolError as exc:
-            # the reply itself is unshippable (e.g. a result set beyond
-            # the payload ceiling): say so instead of dying silently
-            self._reply_error(state, exc.code, str(exc),
-                              request_id=rid, version=version,
-                              request_type=request_type, trace=trace)
-            return False
+        if failure is not None:
+            self._reply_error(state, failure, frame, trace)
+            return failure.recoverable
         if request_type == "shutdown":
             # only after the bye reply is on the wire: waking
             # serve_forever() any earlier lets close() drop this
             # connection mid-reply
-            self._initiate_shutdown()
-        return keep_going
+            self.request_shutdown()
+            return False
+        return True
 
-    def _emit_request_event(
-        self,
-        request_type: str,
-        outcome: str,
-        latency_s: "float | None",
-        trace,
-        stages=None,
-        code: "str | None" = None,
-    ) -> None:
-        """One ``request`` line in the JSON event log (no-op when off)."""
-        fields: "dict[str, object]" = {
-            "type": request_type,
-            "outcome": outcome,
-        }
-        if self.replica_id is not None:
-            fields["replica_id"] = self.replica_id
-        if latency_s is not None:
-            fields["latency_s"] = latency_s
-        if trace is not None:
-            fields.update(trace.event_fields())
-        if stages:
-            fields["stages"] = stages
-        if code is not None:
-            fields["code"] = code
-        emit_event("request", **fields)
+    # ------------------------------------------------------------------
+    # Operations — each returns (reply header, reply payload)
+    # ------------------------------------------------------------------
+    def _operate(self, state: _Connection, frame, profile):
+        request_type = frame.header.get("type")
+        if not isinstance(request_type, str):
+            raise bad_request("header is missing a string 'type'")
+        if request_type not in _REQUEST_TYPES:
+            raise bad_request(
+                f"unknown request type {request_type!r} "
+                f"(expected one of {sorted(_REQUEST_TYPES)})"
+            )
+        if request_type == "ping":
+            header = {"type": "pong", **self.core.identity()}
+            if "echo" in frame.header:
+                header["echo"] = frame.header["echo"]
+            return header, b""
+        if request_type == "stream_analyze":
+            return self._stream(state, frame)
+        if request_type.startswith("analyze_"):
+            mode = request_type[len("analyze_"):]
+            return _results_reply(self.core.analyze(
+                mode,
+                unpack_blobs(frame.payload) if mode == "clips"
+                else frame.header.get(mode),
+                profile,
+            ))
+        if request_type == "stats":
+            return {"type": "stats", **self.core.stats()}, b""
+        if request_type == "metrics":
+            header = {
+                "type": "metrics",
+                "content_type": "text/plain; version=0.0.4",
+            }
+            if self.replica_id is not None:
+                header["replica_id"] = self.replica_id
+            return header, self.core.metrics_text().encode("utf-8")
+        return {"type": "bye"}, b""  # shutdown, run once the reply is out
 
-    def _serve_stream(self, state: _Connection, frame) -> bool:
+    def _stream(self, state: _Connection, frame):
         """Handle one ``stream_analyze`` request (v2 only).
 
         Per-frame ``stream_frame`` partials go out as the clip decodes
         (fed by the service's :meth:`~JumpPoseService.stream_clip`
-        generator), then the final ``result`` frame — bit-identical to
-        an ``analyze_clips`` of the same clip — ends the stream.  An
-        error mid-stream terminates it with a structured ``error`` frame
-        carrying the request id.
+        generator); the returned ``result`` reply — bit-identical to an
+        ``analyze_clips`` of the same clip — ends the stream.  An error
+        mid-stream ends it with an ``error`` frame carrying the id.
         """
-        from repro.synth.io import clip_from_bytes
-
-        rid = frame.request_id
-        version = frame.version
-        trace = parse_trace_header(frame.header.get("trace"))
-        if version < 2:
-            self._reply_error(
-                state, "bad-request",
-                "stream_analyze requires protocol version 2",
-                version=version, request_type="stream_analyze", trace=trace,
+        if frame.version < 2:
+            raise bad_request("stream_analyze requires protocol version 2")
+        blobs = unpack_blobs(frame.payload)
+        if len(blobs) != 1:
+            raise bad_request(
+                f"stream_analyze expects exactly one inline clip "
+                f"archive, got {len(blobs)}"
             )
-            return True
-        with Timer() as timer:
+        stream = self.core.stream(blobs[0])
+        seq = 0
+        while True:
             try:
-                blobs = unpack_blobs(frame.payload)
-                if len(blobs) != 1:
-                    raise ProtocolError(
-                        f"stream_analyze expects exactly one inline clip "
-                        f"archive, got {len(blobs)}",
-                        code="bad-request",
-                        recoverable=True,
-                    )
-                clip = clip_from_bytes(blobs[0])
-                stream = self.service.stream_clip(clip)
-                seq = 0
-                while True:
-                    try:
-                        partial = next(stream)
-                    except StopIteration as stop:
-                        final = stop.value
-                        break
-                    header: "dict[str, object]" = {
-                        "type": "stream_frame",
-                        "seq": seq,
-                        "frame": frame_result_to_wire(partial),
-                    }
-                    if rid is not None:
-                        header["id"] = rid
-                    self._send(state, header, b"", version)
-                    seq += 1
-                header, payload, keep_going = self._results_reply([final])
-            except ProtocolError as exc:
-                self._reply_error(state, exc.code, str(exc),
-                                  request_id=rid, version=version,
-                                  request_type="stream_analyze", trace=trace)
-                return exc.recoverable
-            except ReproError as exc:
-                self._reply_error(state, type(exc).__name__, str(exc),
-                                  request_id=rid, version=version,
-                                  request_type="stream_analyze", trace=trace)
-                return True
-            except OSError:
-                raise  # peer vanished mid-stream; handled by the caller
-            except Exception as exc:
-                self._reply_error(
-                    state, "internal-error", f"{type(exc).__name__}: {exc}",
-                    request_id=rid, version=version,
-                    request_type="stream_analyze", trace=trace,
-                )
-                return False
-        if rid is not None:
-            header["id"] = rid
-        if trace is not None:
-            header["trace"] = trace.to_header()
-        header.setdefault("latency_s", timer.elapsed)
-        with self._profile_lock:
-            self.request_profile.add("stream_analyze", timer.elapsed)
-            self.requests_served += 1
-        _REQUESTS_TOTAL.inc(type="stream_analyze", outcome="ok")
-        _REQUEST_LATENCY.observe(timer.elapsed, type="stream_analyze")
-        self._emit_request_event("stream_analyze", "ok", timer.elapsed, trace)
-        try:
-            self._send(state, header, payload, version)
-        except ProtocolError as exc:
-            self._reply_error(state, exc.code, str(exc),
-                              request_id=rid, version=version,
-                              request_type="stream_analyze", trace=trace)
-            return False
-        return keep_going
-
-    def _apply_fault(self, state: _Connection, request_type: str) -> bool:
-        """Consult the fault injector for one request; False drops the
-        connection.
-
-        ``crash`` never returns (the injector kills the process);
-        ``hang``/``slow`` have already slept inside the injector by the
-        time it returns; ``drop`` closes without a reply; ``corrupt``
-        writes garbage where the reply frame belongs, then closes.
-        """
-        if self.fault_injector is None:
-            return True
-        action = self.fault_injector.on_request(request_type)
-        if action is None or action.kind in ("hang", "slow"):
-            return True
-        if action.kind == "corrupt":
-            with state.send_lock:
-                try:
-                    state.conn.sendall(b"\xff\x00GARBAGE-NOT-A-FRAME" * 3)
-                except OSError:
-                    pass  # the peer is already gone; the drop stands
-        return False  # drop and corrupt both end the connection
-
-    def _reply_error(
-        self,
-        state: _Connection,
-        code: str,
-        message: str,
-        request_id: "int | str | None" = None,
-        version: int = 1,
-        request_type: str = "unframed",
-        trace=None,
-    ) -> None:
-        """Send a structured ``error`` frame, best-effort.
-
-        Read-level failures (no decoded frame to mirror) default to a
-        version-1 error frame, which every peer can read; frame-level
-        failures pass the request's version and — for pipelined
-        requests — its ``id`` so the client can match the error to the
-        request it answers.  ``request_type`` labels the error in
-        metrics and the event log (``unframed`` for read-level
-        failures, ``unknown`` for unrecognised types — always
-        server-chosen vocabulary, never raw wire bytes); ``trace`` is
-        echoed on the error header so a failed hop stays attributable
-        to its trace.
-        """
-        with self._profile_lock:
-            self.errors_served += 1
-        _REQUESTS_TOTAL.inc(type=request_type, outcome="error")
-        self._emit_request_event(request_type, "error", None, trace, code=code)
-        header: "dict[str, object]" = {
-            "type": "error", "code": code, "message": message,
-        }
-        if trace is not None:
-            header["trace"] = trace.to_header()
-        if request_id is not None:
-            header["id"] = request_id
-            version = max(version, 2)  # ids only exist on v2 frames
-        try:
-            self._send(state, header, b"", version)
-        except OSError:
-            pass  # best effort: the peer may already be gone
-
-    # ------------------------------------------------------------------
-    # Request handlers — each returns (header, payload, keep_connection)
-    # ------------------------------------------------------------------
-    def _handle_ping(self, frame):
-        header: "dict[str, object]" = {
-            "type": "pong",
-            "protocol_version": PROTOCOL_VERSION,
-            "model_schema": self.service.metadata.get("schema"),
-            "jobs": self.service.jobs,
-        }
-        if self.replica_id is not None:
-            header["replica_id"] = self.replica_id
-        header["supervision"] = self.service.supervision_snapshot()
-        if "echo" in frame.header:
-            header["echo"] = frame.header["echo"]
-        return header, b"", True
-
-    def _results_reply(
-        self, results, profile: "ProfileReport | None" = None
-    ) -> "tuple[dict[str, object], bytes, bool]":
-        # results ride the payload channel, not the JSON header: the
-        # header is capped at 1 MiB while a directory of long clips can
-        # legitimately exceed it
-        payload = json.dumps(
-            [clip_result_to_wire(result) for result in results],
-            separators=(",", ":"),
-        ).encode("utf-8")
-        header: "dict[str, object]" = {
-            "type": "result", "count": len(results),
-        }
-        if profile is not None and profile.stages:
-            # this request's own worker stage spans (frontend / decode /
-            # load), distinct from the lifetime `stats` accumulation —
-            # echoed to the client and attached to the request event
-            header["stages"] = profile.as_dict()
-        return header, payload, True
-
-    def _handle_analyze_clips(self, frame):
-        from repro.synth.io import clip_from_bytes
-
-        clips = [clip_from_bytes(blob) for blob in unpack_blobs(frame.payload)]
-        profile = ProfileReport()
-        return self._results_reply(
-            self.service.analyze_clips(clips, profile), profile
-        )
-
-    def _handle_analyze_paths(self, frame):
-        paths = frame.header.get("paths")
-        if not isinstance(paths, list) or not all(
-            isinstance(path, str) for path in paths
-        ):
-            raise ProtocolError(
-                "'paths' must be a list of strings",
-                code="bad-request",
-                recoverable=True,
-            )
-        profile = ProfileReport()
-        return self._results_reply(
-            self.service.analyze_paths(paths, profile), profile
-        )
-
-    def _handle_analyze_directory(self, frame):
-        directory = frame.header.get("directory")
-        if not isinstance(directory, str):
-            raise ProtocolError(
-                "'directory' must be a string",
-                code="bad-request",
-                recoverable=True,
-            )
-        profile = ProfileReport()
-        return self._results_reply(
-            self.service.analyze_directory(directory, profile), profile
-        )
+                partial = next(stream)
+            except StopIteration as stop:
+                return _results_reply([stop.value])
+            header: "dict[str, object]" = {
+                "type": "stream_frame",
+                "seq": seq,
+                "frame": frame_result_to_wire(partial),
+            }
+            if frame.request_id is not None:
+                header["id"] = frame.request_id
+            self._write(state, frame_head(header, b"", frame.version))
+            seq += 1
 
     def server_stats_snapshot(self) -> "dict[str, object]":
         """The front's request accounting, read under its lock.
@@ -771,69 +565,29 @@ class JumpPoseServer:
             — the ``server`` block of the ``stats`` reply, also consumed
             by the cluster roll-up so both views cannot diverge.
         """
-        with self._profile_lock:
-            return {
-                "requests": self.requests_served,
-                "errors": self.errors_served,
-                "request_stages": self.request_profile.as_dict(),
-            }
+        return self.core.server_stats_snapshot()
 
-    def _handle_stats(self, frame):
-        header = {
-            "type": "stats",
-            "service": self.service.stats_snapshot(),
-            "server": self.server_stats_snapshot(),
-        }
-        if self.replica_id is not None:
-            header["replica_id"] = self.replica_id
-        return header, b"", True
+    def request_shutdown(self) -> None:
+        """Start the graceful shutdown; signal-safe.
 
-    def _initiate_shutdown(self) -> None:
-        """Stop the accept loop and wake :meth:`serve_forever`."""
+        What a wire ``shutdown`` request does once its ``bye`` is out,
+        and what the ``serve`` CLI's SIGTERM/SIGINT handlers call: stops
+        the accept loop and wakes :meth:`serve_forever`, whose
+        :meth:`close` then drains in-flight requests, so a supervisor
+        (or ``docker stop``) never cuts replies mid-frame.
+        """
         self._shutdown.set()
         listener = self._listener
         if listener is not None:
             self._close_listener(listener)
 
-    def request_shutdown(self) -> None:
-        """Start the graceful shutdown from this process; signal-safe.
 
-        The local counterpart of the wire ``shutdown`` request: stops
-        the accept loop and wakes :meth:`serve_forever`, whose
-        :meth:`close` then drains in-flight requests.  The ``serve``
-        CLI's SIGTERM/SIGINT handlers call this, so a supervisor (or
-        ``docker stop``) terminates the server without cutting replies
-        mid-frame.
-        """
-        self._initiate_shutdown()
-
-    def _handle_metrics(self, frame):
-        # refresh the supervision gauge at scrape time: the restart count
-        # lives in this replica's environment, not in any hot path
-        supervision = self.service.supervision_snapshot()
-        restarts = supervision.get("restarts", 0)
-        if isinstance(restarts, int):
-            _SUPERVISED_RESTARTS.set(restarts)
-        text = render_prometheus()
-        header: "dict[str, object]" = {
-            "type": "metrics",
-            "content_type": "text/plain; version=0.0.4",
-        }
-        if self.replica_id is not None:
-            header["replica_id"] = self.replica_id
-        return header, text.encode("utf-8"), True
-
-    def _handle_shutdown(self, frame):
-        # the actual shutdown runs in _serve_frame, after the reply is
-        # sent; here we only acknowledge
-        return {"type": "bye"}, b"", False
-
-    _HANDLERS = {
-        "ping": _handle_ping,
-        "analyze_clips": _handle_analyze_clips,
-        "analyze_paths": _handle_analyze_paths,
-        "analyze_directory": _handle_analyze_directory,
-        "stats": _handle_stats,
-        "metrics": _handle_metrics,
-        "shutdown": _handle_shutdown,
-    }
+def _results_reply(results) -> "tuple[dict[str, object], bytes]":
+    # results ride the payload channel, not the JSON header: the header
+    # is capped at 1 MiB while a directory of long clips can
+    # legitimately exceed it
+    payload = json.dumps(
+        [clip_result_to_wire(result) for result in results],
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return {"type": "result", "count": len(results)}, payload

@@ -94,10 +94,18 @@ class Frame:
         return rid if isinstance(rid, (int, str)) else None
 
 
-def _frame_head(
+def frame_head(
     header: "dict[str, object]", payload: bytes, version: int
 ) -> bytes:
-    """Validate sizes and build the prefix + header bytes of one frame."""
+    """Validate sizes and build the prefix + header bytes of one frame.
+
+    The payload follows these bytes unchanged on the wire.
+
+    Raises:
+        ProtocolError: an unknown ``version`` (``bad-version``), or a
+            header or payload over its ceiling (``oversized-header`` /
+            ``oversized-payload``).
+    """
     if version not in SUPPORTED_PROTOCOL_VERSIONS:
         raise ProtocolError(
             f"cannot emit protocol version {version} "
@@ -129,7 +137,7 @@ def encode_frame(
     version: int = PROTOCOL_VERSION,
 ) -> bytes:
     """Serialise one frame to wire bytes (``version`` selects the tag)."""
-    return _frame_head(header, payload, version) + payload
+    return frame_head(header, payload, version) + payload
 
 
 def send_frame(
@@ -144,7 +152,7 @@ def send_frame(
     so a near-ceiling payload is not copied a second time.  ``version``
     tags the frame — servers reply with the version the request used.
     """
-    sock.sendall(_frame_head(header, payload, version))
+    sock.sendall(frame_head(header, payload, version))
     if payload:
         sock.sendall(payload)
 

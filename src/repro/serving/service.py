@@ -64,20 +64,6 @@ def _handle_clip(
     return result, len(clip), timer.elapsed, profile
 
 
-def _handle_path(
-    analyzer: JumpPoseAnalyzer, path: str
-) -> "tuple[ClipResult, int, float, ProfileReport]":
-    """One request addressed by path; the clip is loaded worker-side."""
-    from repro.synth.io import load_clip
-
-    profile = ProfileReport()
-    with Timer() as timer:
-        with profile.stage("load"):
-            clip = load_clip(path)
-        result = analyzer.analyze_clip(clip, profile)
-    return result, len(clip), timer.elapsed, profile
-
-
 def _analyze_clip_batch(
     analyzer: JumpPoseAnalyzer, clips: "list[JumpClip]"
 ) -> "list[tuple[ClipResult, int, float, ProfileReport]]":
@@ -151,10 +137,6 @@ def _worker_path_batch(batch: "list[str]"):
     assert _WORKER_ANALYZER is not None
     return _analyze_path_batch(_WORKER_ANALYZER, batch)
 
-
-#: Upper bound for the adaptive micro-batch controller: past this, a
-#: batch pins a worker long enough to starve request-order fairness.
-MAX_BATCH_SIZE = 64
 
 #: Per-clip latencies kept for quantile estimates; counters stay exact
 #: forever, but a server that lives for millions of clips must not hold
@@ -316,16 +298,9 @@ class JumpPoseService:
         jobs: worker processes.  1 serves in-process; higher values spawn
             a ``multiprocessing`` pool whose initializer loads the
             artifact once per worker.
-        batch_size: initial requests handed to a worker per task
+        batch_size: requests handed to a worker per task
             (micro-batching amortises task dispatch and feeds the
             batched decode kernels without hurting request ordering).
-        adaptive_batch: adapt ``batch_size`` to live latency (bounded
-            AIMD): after each dispatch, grow by one while the trailing
-            p95 per-clip latency is at or under ``batch_latency_target_s``
-            and halve on a breach, within ``[1, MAX_BATCH_SIZE]``.  Set
-            False to pin ``batch_size`` for deterministic benchmarking.
-        batch_latency_target_s: the p95 per-clip latency budget the
-            adaptive controller steers to.
         decode: optional decode-mode override applied on top of the
             artifact's stored classifier configuration.
         replica_id: optional name identifying this service instance in
@@ -350,18 +325,11 @@ class JumpPoseService:
         decode: "str | None" = None,
         replica_id: "str | None" = None,
         fault_injector=None,
-        adaptive_batch: bool = True,
-        batch_latency_target_s: float = 0.25,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_latency_target_s <= 0:
-            raise ConfigurationError(
-                "batch_latency_target_s must be > 0, got "
-                f"{batch_latency_target_s}"
-            )
         if decode is not None and decode not in DECODE_MODES:
             # checked here so a bad override fails at construction instead
             # of inside a pool worker's initializer
@@ -372,8 +340,6 @@ class JumpPoseService:
         self.metadata = read_artifact_metadata(self.artifact_path)
         self.jobs = jobs
         self.batch_size = batch_size
-        self.adaptive_batch = adaptive_batch
-        self.batch_latency_target_s = batch_latency_target_s
         self.decode = decode
         self.replica_id = replica_id
         self.fault_injector = fault_injector
@@ -697,22 +663,4 @@ class JumpPoseService:
             for stage, stage_stats in profile.stages.items():
                 _STAGE_LATENCY.observe(stage_stats.total, stage=stage)
         self.stats.wall_s += wall.elapsed
-        if self.adaptive_batch:
-            self._adapt_batch_size()
         return results
-
-    def _adapt_batch_size(self) -> None:
-        """Bounded AIMD on the micro-batch size (dispatch lock held).
-
-        Signal: the trailing-window p95 per-clip latency the service
-        already tracks.  Additive increase (+1) while p95 is within the
-        target keeps probing for decode-kernel batching wins; a breach
-        halves the batch so one slow burst cannot lock large batches in.
-        """
-        p95 = self.stats.latency_quantile(0.95)
-        if p95 <= 0:
-            return
-        if p95 <= self.batch_latency_target_s:
-            self.batch_size = min(self.batch_size + 1, MAX_BATCH_SIZE)
-        else:
-            self.batch_size = max(self.batch_size // 2, 1)

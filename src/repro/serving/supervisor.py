@@ -133,8 +133,8 @@ class ReplicaSupervisor:
             replica up front; a positive value assigns replica *i* port
             ``base_port + i``.  Either way the assignment is fixed for
             the supervisor's lifetime — restarts rebind the same port.
-        jobs / batch_size / decode / adaptive_batch: forwarded to each
-            replica's ``serve`` invocation.
+        jobs / batch_size / decode: forwarded to each replica's
+            ``serve`` invocation.
         probe_interval_s: monitor tick period (liveness + ping).
         probe_deadline_s: hard deadline on each health probe — a ping
             slower than this counts as a failure (hang detection).
@@ -187,7 +187,6 @@ class ReplicaSupervisor:
         jobs: int = 1,
         batch_size: int = 4,
         decode: "str | None" = None,
-        adaptive_batch: bool = True,
         probe_interval_s: float = 1.0,
         probe_deadline_s: float = 5.0,
         probes_to_admit: int = 2,
@@ -242,7 +241,6 @@ class ReplicaSupervisor:
         self.base_port = base_port
         self.jobs = jobs
         self.batch_size = batch_size
-        self.adaptive_batch = adaptive_batch
         self.decode = decode
         self.probe_interval_s = probe_interval_s
         self.probe_deadline_s = probe_deadline_s
@@ -417,8 +415,6 @@ class ReplicaSupervisor:
             "--jobs", str(self.jobs),
             "--batch-size", str(self.batch_size),
         ]
-        if not self.adaptive_batch:
-            command += ["--no-adaptive-batch"]
         if self.decode is not None:
             command += ["--decode", self.decode]
         log_json = self._replica_log_json(replica)

@@ -62,24 +62,35 @@ def _events(path):
 # ----------------------------------------------------------------------
 # Trace propagation
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("front", ["jpse", "http"])
 def test_socket_requests_are_traced_with_per_stage_spans(
-    artifact, dataset, event_log
+    artifact, dataset, event_log, front
 ):
-    """Plain and pipelined calls from one client share its root trace;
-    every served request logs its own span and its stage timings."""
+    """Plain (and, over JPSE, pipelined) calls from one client share its
+    root trace; every served request logs its own span and its stage
+    timings — on both fronts."""
     clips = list(dataset.test)
-    with JumpPoseServer(artifact) as server:
+    if front == "jpse":
+        server_type, client_type, probe = JumpPoseServer, JumpPoseClient, "ping"
+        analyze_type = "analyze_clips"
+    else:
+        server_type, client_type, probe = (
+            JumpPoseHttpServer, HttpJumpPoseClient, "healthz",
+        )
+        analyze_type = "analyze"
+    with server_type(artifact) as server:
         host, port = server.address
-        with JumpPoseClient(host, port, timeout_s=30.0) as client:
-            client.ping()
+        with client_type(host, port, timeout_s=30.0) as client:
+            getattr(client, probe)()
             client.analyze_clips(clips)
-            client.analyze_clips_pipelined([[clip] for clip in clips])
+            if front == "jpse":
+                client.analyze_clips_pipelined([[clip] for clip in clips])
     requests = [e for e in _events(event_log) if e["event"] == "request"]
-    # ping + one analyze + one pipelined request per clip, all traced
-    assert len(requests) == 2 + len(clips)
+    # probe + one analyze (+ one pipelined request per clip), all traced
+    assert len(requests) == 2 + (len(clips) if front == "jpse" else 0)
     assert {e["trace_id"] for e in requests} == {requests[0]["trace_id"]}
     assert len({e["span_id"] for e in requests}) == len(requests)
-    analyzes = [e for e in requests if e["type"] == "analyze_clips"]
+    analyzes = [e for e in requests if e["type"] == analyze_type]
     assert analyzes
     for event in analyzes:
         assert event["outcome"] == "ok"

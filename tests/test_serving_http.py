@@ -12,6 +12,7 @@ down), and the token guard on remote shutdown.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import http.server
 import json
@@ -28,10 +29,15 @@ from repro.errors import (
     RemoteError,
     TransportError,
 )
-from repro.serving.client import HttpJumpPoseClient
+from repro.serving.client import HttpJumpPoseClient, JumpPoseClient
 from repro.serving.http import JumpPoseHttpServer
-from repro.serving.protocol import PROTOCOL_VERSION
-from repro.serving.service import JumpPoseService
+from repro.serving.net import JumpPoseServer
+from repro.serving.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    pack_blobs,
+    read_frame,
+)
 from repro.synth.io import save_clip
 
 pytestmark = pytest.mark.network
@@ -558,27 +564,72 @@ def test_non_json_reply_raises_protocol_error():
 
 
 # ----------------------------------------------------------------------
-# Sharing one service between fronts
+# Cross-front parity: one error vocabulary, one stats block
 # ----------------------------------------------------------------------
-def test_shared_service_survives_gateway_close(artifact, dataset):
-    """A ``service=``-backed gateway must not close its owner's service."""
-    with JumpPoseService(artifact) as service:
-        with JumpPoseHttpServer(service=service) as served:
-            host, port = served.address
-            with HttpJumpPoseClient(host, port, timeout_s=20.0) as remote:
-                assert remote.analyze_clips([dataset.test[0]])
-        assert service.is_running  # the gateway did not tear it down
-        service.analyze_clips([dataset.test[0]])  # still serves locally
+@pytest.fixture(scope="module")
+def socket_front(artifact):
+    """A JPSE server on the same artifact, for the parity probes."""
+    with JumpPoseServer(artifact) as served:
+        yield served
 
 
-def test_shared_service_rejects_owned_knobs(artifact):
-    with JumpPoseService(artifact) as service:
-        with pytest.raises(ConfigurationError, match="shared service"):
-            JumpPoseHttpServer(service=service, jobs=2)
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        JumpPoseHttpServer()
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        JumpPoseHttpServer(artifact, service=JumpPoseService(artifact))
+def _jpse_error(address, mode, value):
+    """Send one raw ``analyze_<mode>`` frame; return the error reply."""
+    header = {"type": f"analyze_{mode}"}
+    payload = b""
+    if mode == "clips":
+        payload = pack_blobs(value)
+    else:
+        header[mode] = value
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(encode_frame(header, payload))
+        with sock.makefile("rb") as reader:
+            reply = read_frame(reader)
+    assert reply.header["type"] == "error", reply.header
+    return reply.header["code"], reply.header["message"]
+
+
+def _http_error(address, mode, value):
+    """POST the same input to ``/v1/analyze``; return the error body."""
+    if mode == "clips":
+        value = [base64.b64encode(blob).decode("ascii") for blob in value]
+    status, payload = _raw_request(
+        address, "POST", "/v1/analyze", body=json.dumps({mode: value}).encode()
+    )
+    assert status == 400, payload
+    return payload["error"]["code"], payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "mode, make_value, code",
+    [
+        ("paths", lambda tmp: "not-a-list", "bad-request"),
+        ("directory", lambda tmp: 7, "bad-request"),
+        ("paths", lambda tmp: [str(tmp / "missing.npz")], "DatasetError"),
+        ("directory", lambda tmp: str(tmp), "ConfigurationError"),
+        ("clips", lambda tmp: [b"hello"], "DatasetError"),
+    ],
+    ids=[
+        "ill-typed-paths", "non-string-directory", "missing-clip-path",
+        "empty-directory", "garbage-archive",
+    ],
+)
+def test_both_fronts_share_the_error_taxonomy(
+    socket_front, gateway, tmp_path, mode, make_value, code
+):
+    """``docs/protocol.md``: the HTTP ``code`` vocabulary is shared with
+    JPSE where the failure is shared — same input, same code."""
+    value = make_value(tmp_path)
+    jpse = _jpse_error(socket_front.address, mode, value)
+    http_reply = _http_error(gateway.address, mode, value)
+    assert jpse[0] == http_reply[0] == code
+    assert jpse == http_reply
+    with JumpPoseClient(*socket_front.address, timeout_s=10.0) as probe:
+        jpse_server = probe.stats()["server"]
+    with HttpJumpPoseClient(*gateway.address, timeout_s=10.0) as probe:
+        http_server = probe.stats()["server"]
+    assert set(jpse_server) == set(http_server)
+    assert jpse_server["errors"] > 0 and http_server["errors"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,11 @@ import struct
 import numpy as np
 import pytest
 
+from repro.obs.events import configure_event_log
 from repro.serving.client import JumpPoseClient
 from repro.serving.net import JumpPoseServer
 from repro.serving.protocol import (
+    MAX_HEADER_BYTES,
     PREFIX_BYTES,
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
@@ -436,3 +438,34 @@ def test_error_accounting_is_visible_in_stats(server):
     with JumpPoseClient(host, port, timeout_s=10.0) as probe:
         stats = probe.stats()
     assert stats["server"]["errors"] > 0
+
+
+def test_unshippable_reply_is_counted_once(artifact, tmp_path):
+    """A reply over the header ceiling is one error — not an ``ok`` that
+    is then also counted as an ``error``."""
+    log = tmp_path / "events.jsonl"
+    configure_event_log(log)
+    try:
+        with JumpPoseServer(artifact) as fresh:
+            sock = socket.create_connection(fresh.address, timeout=10.0)
+            try:
+                # the request fits; the pong echoing it does not
+                echo = "x" * (MAX_HEADER_BYTES - 200)
+                sock.sendall(encode_frame({"type": "ping", "echo": echo}))
+                response = _recv_response(sock)
+            finally:
+                sock.close()
+            assert response.header["code"] == "oversized-header"
+            server = fresh.server_stats_snapshot()
+    finally:
+        configure_event_log(None)
+    assert (server["requests"], server["errors"]) == (0, 1)
+    events = [
+        json.loads(line)
+        for line in log.read_text(encoding="utf-8").splitlines()
+    ]
+    assert [
+        (event["type"], event["outcome"])
+        for event in events
+        if event["event"] == "request"
+    ] == [("ping", "error")]

@@ -31,55 +31,8 @@ def test_service_validates_configuration(artifact, tmp_path):
         JumpPoseService(artifact, batch_size=0)
     with pytest.raises(ConfigurationError):
         JumpPoseService(artifact, decode="magic")
-    with pytest.raises(ConfigurationError):
-        JumpPoseService(artifact, batch_latency_target_s=0.0)
     with pytest.raises(ModelError):
         JumpPoseService(tmp_path / "missing.npz")  # checked eagerly
-
-
-def test_adaptive_batch_grows_under_target(artifact, dataset):
-    """p95 under the latency budget: additive increase, bounded."""
-    with JumpPoseService(
-        artifact, jobs=1, batch_size=2, batch_latency_target_s=1e6
-    ) as service:
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 3
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 4
-
-
-def test_adaptive_batch_halves_on_breach(artifact, dataset):
-    """p95 over the budget: multiplicative decrease, floored at 1."""
-    with JumpPoseService(
-        artifact, jobs=1, batch_size=8, batch_latency_target_s=1e-12
-    ) as service:
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 4
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 2
-        service.analyze_clips(dataset.test)
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 1
-
-
-def test_adaptive_batch_disabled_pins_batch_size(artifact, dataset):
-    with JumpPoseService(
-        artifact, jobs=1, batch_size=2, adaptive_batch=False
-    ) as service:
-        service.analyze_clips(dataset.test)
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == 2
-
-
-def test_adaptive_batch_respects_upper_bound(artifact, dataset):
-    from repro.serving.service import MAX_BATCH_SIZE
-
-    with JumpPoseService(
-        artifact, jobs=1, batch_size=MAX_BATCH_SIZE,
-        batch_latency_target_s=1e6,
-    ) as service:
-        service.analyze_clips(dataset.test)
-        assert service.batch_size == MAX_BATCH_SIZE
 
 
 def test_service_requires_start(artifact, dataset):
