@@ -1,11 +1,13 @@
-"""Cluster perf: replica throughput scaling + pipelining latency, in JSON.
+"""Fleet perf: replica throughput scaling + pipelining latency, in JSON.
 
 The full-scale measurement (``--perf``) serves one fitted artifact from
-clusters of 1, 2, and 4 replicas, shards the same clip batch through
-:class:`~repro.serving.client.RoutingClient` against each, and records
-clips/second — the scaling curve the ROADMAP's "millions of users" axis
-rides on.  On one connection it also times the same request set issued
-serially vs pipelined (protocol-v2 request ids,
+supervised fleets (:class:`~repro.serving.supervisor.ReplicaSupervisor`,
+one OS process per replica) of 1, 2, and 4 replicas, shards the same
+clip batch through :class:`~repro.serving.client.RoutingClient` against
+each once every replica is healthy, and records clips/second — the
+process-level scaling curve.  On one connection to one in-process
+:class:`~repro.serving.net.JumpPoseServer` it also times the same
+request set issued serially vs pipelined (protocol-v2 request ids,
 ``analyze_clips_pipelined``): pipelining removes the per-request
 round-trip wait, so the pipelined wall must not exceed the serial wall
 by more than measurement noise.  Floors are asserted and
@@ -13,18 +15,17 @@ by more than measurement noise.  Floors are asserted and
 artifacts.
 
 Two deliberate choices (``docs/scaling.md#single-machine-limits``):
-every replica gets its own worker processes (``jobs=2``), because
-in-process replica *threads* decoding in-process are GIL-bound — the
-cluster's replica axis only buys CPU scaling when each replica's decode
-leaves the parent process; and the replica-scaling floor is asserted
-only on machines with >= 4 cores, since on fewer cores no architecture
-can make 4 replicas outrun 1 (the curve is still recorded).
+each replica decodes in its own process with ``jobs=1`` — replicas do
+not share a GIL, so no per-replica worker pool is needed to scale;
+and the replica-scaling floor is asserted only on machines with >= 4
+cores, since on fewer cores no architecture can make 4 replicas outrun
+1 (the curve is still recorded).
 
 The model is fitted directly from synthetic feature vectors (the
 ``test_perf_decode`` trick) and the clips are small rendered studio
 clips, so one run stays inside a coffee break.  A smoke variant runs in
-tier-1 on a 1-replica in-process cluster and a pair of requests: same
-measurement and artifact code paths, no floors.
+tier-1 on a 1-replica fleet and a pair of requests: same measurement
+and artifact code paths, no floors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import pytest
 
 from repro.perf import Timer, write_bench_json
 from repro.serving.client import JumpPoseClient, RoutingClient
-from repro.serving.cluster import JumpPoseCluster
+from repro.serving.net import JumpPoseServer
+from repro.serving.supervisor import ReplicaSupervisor
 from test_perf_decode import _bench_analyzer, _fitted_models
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +52,9 @@ BENCH_PATH = REPO_ROOT / "BENCH_cluster.json"
 #: regression.
 MIN_SCALING_4_REPLICAS = 1.2
 MAX_PIPELINE_VS_SERIAL = 1.25
+
+#: Bound on a fleet's replica processes all turning healthy.
+FLEET_READY_S = 120.0
 
 
 def _bench_clips(n_clips: int):
@@ -67,7 +72,6 @@ def _measure(
     n_clips: int,
     pipeline_batches: int,
     tmp_path: Path,
-    jobs: int = 1,
 ) -> "dict[str, dict[str, float]]":
     """Time routed throughput per replica count + pipelined vs serial."""
     observation, transitions = _fitted_models()
@@ -78,11 +82,16 @@ def _measure(
 
     results: "dict[str, dict[str, float]]" = {}
     for replicas in replica_counts:
-        with JumpPoseCluster(
-            artifact, replicas=replicas, jobs=jobs, batch_size=1,
-        ) as cluster:
-            with RoutingClient(cluster.addresses, timeout_s=60.0) as router:
-                router.analyze_clips(clips[:1])  # warm every connection path
+        with ReplicaSupervisor(
+            artifact, replicas=replicas, batch_size=1,
+            workdir=tmp_path / f"fleet-{replicas}",
+        ) as fleet:
+            assert fleet.wait_until_healthy(FLEET_READY_S), (
+                fleet.render_health()
+            )
+            with RoutingClient(fleet.addresses, timeout_s=60.0) as router:
+                # one clip per replica: warm every connection and process
+                router.analyze_clips(clips[:replicas])
                 with Timer() as timer:
                     routed = router.analyze_clips(clips)
         assert routed == local  # scaling must not change results
@@ -94,8 +103,8 @@ def _measure(
 
     # pipelined vs serial on ONE connection to ONE server
     batches = [[clip] for clip in clips[:pipeline_batches]]
-    with JumpPoseCluster(artifact, replicas=1) as cluster:
-        host, port = cluster.addresses[0]
+    with JumpPoseServer(artifact) as server:
+        host, port = server.address
         with JumpPoseClient(host, port, timeout_s=60.0) as client:
             client.ping()  # connection established outside the timing
             with Timer() as serial_timer:
@@ -138,7 +147,6 @@ def test_cluster_bench_full(tmp_path):
         n_clips=n_clips,
         pipeline_batches=pipeline_batches,
         tmp_path=tmp_path,
-        jobs=2,  # decode in worker processes: the replica axis needs it
     )
     base = results["routed_1_replicas"]["clips_per_s"]
     results["scaling"] = {
@@ -153,7 +161,8 @@ def test_cluster_bench_full(tmp_path):
         context={
             "clips": n_clips,
             "cores": cores,
-            "jobs_per_replica": 2,
+            "jobs_per_replica": 1,
+            "replicas": "ReplicaSupervisor OS processes",
             "pipeline_batches": pipeline_batches,
             "replica_counts": list(replica_counts),
             "transport": "JPSE v2, loopback",

@@ -1,30 +1,37 @@
-"""Cluster round-trip: train → save → 3 replicas → route → kill one → verify.
+"""Fleet round-trip: train → save → 3 replica processes → route → kill one → verify.
 
 The end-to-end scale-out path (``docs/scaling.md``):
 
 1. train the system at small scale and save a versioned model artifact,
-2. stand up a :class:`~repro.serving.cluster.JumpPoseCluster` of three
-   :class:`~repro.serving.net.JumpPoseServer` replicas on ephemeral
-   loopback ports,
+2. stand up a :class:`~repro.serving.supervisor.ReplicaSupervisor` fleet
+   of three ``serve`` replica processes on ephemeral loopback ports,
 3. shard a clip batch across them through
-   :class:`~repro.serving.client.RoutingClient`,
-4. kill one replica **mid-run** while a second batch is in flight, and
+   :class:`~repro.serving.client.RoutingClient` (attached to the
+   supervisor, so its rotation follows the fleet's health),
+4. ``SIGKILL`` replica ``r0`` **mid-run** while a second batch is in
+   flight, and
 5. assert that both the clean and the failed-over outputs are
    **bit-identical** to a local ``JumpPoseAnalyzer.analyze_clips`` —
-   the cluster changes throughput, never results.
+   the fleet changes throughput, never results — then wait for the
+   supervisor to restart ``r0`` and print the fleet roll-up.
 
 Usage::
 
     python examples/cluster_roundtrip.py
 """
 
+import os
+import signal
 import tempfile
 import threading
 from pathlib import Path
 
 from repro import JumpPoseAnalyzer, make_paper_protocol_dataset
-from repro.serving.client import RoutingClient
-from repro.serving.cluster import JumpPoseCluster
+from repro.serving import (
+    ReplicaSupervisor,
+    RoutingClient,
+    merge_service_stats,
+)
 
 REPLICAS = 3
 
@@ -43,39 +50,56 @@ def main() -> int:
     clips = list(dataset.test) * REPLICAS  # work for every replica
     local = analyzer.analyze_clips(clips)
 
-    print(f"\nStarting {REPLICAS} replicas on ephemeral ports...")
-    with JumpPoseCluster(artifact, replicas=REPLICAS,
-                         drain_timeout_s=0.0) as cluster:
-        for rid, (host, port) in zip(cluster.replica_ids, cluster.addresses):
-            print(f"  {rid}: {host}:{port}")
-        with RoutingClient(cluster.addresses, policy="round-robin",
+    print(f"\nStarting {REPLICAS} replica processes on ephemeral ports...")
+    with ReplicaSupervisor(artifact, replicas=REPLICAS,
+                           workdir=workdir / "fleet") as fleet:
+        assert fleet.wait_until_healthy(120.0), fleet.render_health()
+        for rid, (host, port) in zip(fleet.replica_ids, fleet.addresses):
+            print(f"  {rid}: {host}:{port} (pid {fleet.replica_pid(rid)})")
+        with RoutingClient(fleet.addresses, policy="round-robin",
                            timeout_s=60.0, connect_retries=1,
                            retry_delay_s=0.05) as router:
+            fleet.attach_router(router)
             routed = router.analyze_clips(clips)
             assert routed == local, "sharded results diverged from local"
             print(f"  sharded {len(clips)} clips over {REPLICAS} replicas: "
                   f"bit-identical to the local decode")
 
-            print("\nKilling replica r0 mid-run...")
-            killer = threading.Timer(0.3, cluster.servers[0].close)
+            print("\nKilling replica r0 (SIGKILL) mid-run...")
+            victim = fleet.replica_pid("r0")
+            killer = threading.Timer(
+                0.3, os.kill, args=(victim, signal.SIGKILL)
+            )
             killer.start()
             try:
                 failed_over = router.analyze_clips(clips)
             finally:
                 killer.join()
             assert failed_over == local, "failover results diverged"
-            survivors = len(router.alive_addresses)
-            print(f"  failover re-dispatched onto {survivors} survivors: "
-                  f"still bit-identical to the local decode")
+            print("  r0's shard failed over: "
+                  "still bit-identical to the local decode")
 
-        rollup = cluster.stats()
-        totals = rollup["cluster"]
-        print(f"\nCluster served {totals['clips']} clips / "
+            assert fleet.wait_for(
+                lambda health: health["status"] == "ok"
+                and health["replicas"]["r0"]["restarts"] >= 1
+                and len(router.alive_addresses) == REPLICAS,
+                timeout_s=120.0,
+            ), fleet.render_health()
+            print(f"  r0 restarted and re-admitted "
+                  f"(pid {victim} -> {fleet.replica_pid('r0')})")
+
+            per_replica = router.stats()
+        totals = merge_service_stats({
+            payload.get("replica_id", key): payload["service"]
+            for key, payload in per_replica.items()
+        })
+        print(f"\nFleet served {totals['clips']} clips / "
               f"{totals['frames']} frames across "
-              f"{totals['replicas']} replicas:")
-        for rid, block in rollup["replicas"].items():
-            print(f"  {rid}: {block['service']['clips']} clips, "
-                  f"{block['server']['requests']} requests")
+              f"{totals['replicas']} replicas (r0 counts since its restart):")
+        for payload in per_replica.values():
+            print(f"  {payload.get('replica_id')}: "
+                  f"{payload['service']['clips']} clips, "
+                  f"{payload['server']['requests']} requests")
     print("\nRound trip complete: cluster output == local output, to the bit.")
     return 0
 

@@ -1,8 +1,8 @@
 """A compact discrete Bayesian-network engine (pgmpy substitute).
 
 Implements exactly the machinery the paper's §4 needs — discrete factors,
-tabular CPDs, DAG validation, exact inference by variable elimination,
-forward sampling, maximum-likelihood / Dirichlet parameter learning, and a
+tabular CPDs, DAG validation, exact inference by variable elimination
+(the oracle the closed-form pose likelihood is pinned against), and a
 two-slice dynamic Bayesian network with forward filtering and Viterbi
 decoding — with no dependency beyond numpy.
 """
@@ -12,9 +12,6 @@ from repro.bayes.factor import Factor
 from repro.bayes.cpd import TabularCPD
 from repro.bayes.network import BayesianNetwork
 from repro.bayes.elimination import VariableElimination
-from repro.bayes.gibbs import GibbsSampler
-from repro.bayes.sampling import forward_sample
-from repro.bayes.learning import estimate_cpd, fit_network
 from repro.bayes.dbn import TwoSliceDBN
 
 __all__ = [
@@ -23,9 +20,5 @@ __all__ = [
     "TabularCPD",
     "BayesianNetwork",
     "VariableElimination",
-    "GibbsSampler",
-    "forward_sample",
-    "estimate_cpd",
-    "fit_network",
     "TwoSliceDBN",
 ]

@@ -85,31 +85,3 @@ class TabularCPD:
         shape = (child.cardinality,) + tuple(p.cardinality for p in parents)
         table = np.full(shape, 1.0 / child.cardinality)
         return TabularCPD(child, parents, table)
-
-    @staticmethod
-    def from_counts(
-        child: Variable,
-        parents: "tuple[Variable, ...]",
-        counts: np.ndarray,
-        alpha: float = 1.0,
-    ) -> "TabularCPD":
-        """Dirichlet-smoothed CPD from a count table of the same shape.
-
-        ``alpha`` is the add-α pseudo-count applied to every cell; ``alpha
-        = 0`` gives the MLE (columns with zero total fall back to uniform
-        so the CPD stays valid).
-        """
-        if alpha < 0:
-            raise ModelError(f"alpha must be >= 0, got {alpha}")
-        array = np.asarray(counts, dtype=np.float64) + alpha
-        expected = (child.cardinality,) + tuple(p.cardinality for p in parents)
-        if array.shape != expected:
-            raise ModelError(
-                f"count shape {array.shape} does not match {expected}"
-            )
-        sums = array.sum(axis=0, keepdims=True)
-        zero = sums == 0
-        if np.any(zero):
-            array = array + zero * (1.0 / child.cardinality)
-            sums = array.sum(axis=0, keepdims=True)
-        return TabularCPD(child, parents, array / sums)

@@ -28,22 +28,17 @@ HTTP (see ``docs/protocol.md``)::
     python -m repro.cli analyze clips/clip-00.npz --connect-http 127.0.0.1:8080
 
 ``serve --replicas N --port BASE`` scales the JPSE front out to N
-replicas of the same artifact (see ``docs/scaling.md``), and a
+replica processes of the same artifact under
+:class:`~repro.serving.supervisor.ReplicaSupervisor` — crashed or
+unresponsive replicas are restarted with exponential backoff and
+re-admitted after consecutive healthy probes, and ``--fault-spec`` arms
+deterministic fault injection for drills (``docs/scaling.md``).  A
 comma-separated ``--connect`` shards through
 :class:`~repro.serving.client.RoutingClient`::
 
     python -m repro.cli serve --model model.npz --replicas 3 --port 7345
     python -m repro.cli analyze clips/clip-00.npz \
         --connect 127.0.0.1:7345,127.0.0.1:7346,127.0.0.1:7347
-
-``serve --supervised`` upgrades the fleet to real OS processes under
-:class:`~repro.serving.supervisor.ReplicaSupervisor` — crashed or
-unresponsive replicas are restarted with exponential backoff and
-re-admitted after consecutive healthy probes — and ``--fault-spec``
-arms deterministic fault injection for drills (``docs/scaling.md``)::
-
-    python -m repro.cli serve --model model.npz --supervised \
-        --replicas 3 --port 7345
 
 ``serve`` installs SIGTERM/SIGINT handlers on every bound front, so
 ``kill`` (or ``docker stop``) triggers the same graceful drain a
@@ -164,17 +159,15 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=None,
                        help="listen on this TCP port instead of serving "
                             "local clips (0 picks an ephemeral port)")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="run this many JumpPoseServer replicas of the "
-                            "artifact (requires --port; replica i binds "
-                            "port+i, or all-ephemeral with --port 0)")
-    serve.add_argument("--supervised", action="store_true",
-                       help="run --replicas as real OS processes under "
-                            "ReplicaSupervisor: crash detection, backoff "
-                            "restarts, health-probe re-admission (requires "
-                            "--port; see docs/scaling.md)")
+    serve.add_argument("--replicas", type=int, default=None,
+                       help="run this many replica processes of the "
+                            "artifact under ReplicaSupervisor: crash "
+                            "detection, backoff restarts, health-probe "
+                            "re-admission (requires --port; replica i binds "
+                            "port+i, or all-ephemeral with --port 0; see "
+                            "docs/scaling.md)")
     serve.add_argument("--restart-budget", type=int, default=None,
-                       help="with --supervised: restarts a replica may burn "
+                       help="with --replicas: restarts a replica may burn "
                             "before it is marked failed (default 5; the "
                             "budget refills after sustained health)")
     serve.add_argument("--replica-id", default=None,
@@ -207,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-json", type=Path, default=None,
                        help="append structured JSON events (requests, "
                             "restarts, failovers, armed faults) to this "
-                            "file; with --supervised each replica logs to "
+                            "file; with --replicas each replica logs to "
                             "a per-replica derivation (NAME.rI.jsonl)")
 
     stats = commands.add_parser(
@@ -411,7 +404,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             "--shutdown-token only applies to the HTTP gateway "
             "(add --http-port)"
         )
-    if args.replicas < 1:
+    if args.replicas is not None and args.replicas < 1:
         raise ConfigurationError(
             f"--replicas must be >= 1, got {args.replicas}"
         )
@@ -428,47 +421,29 @@ def _command_serve(args: argparse.Namespace) -> int:
             "--fault-spec needs a bound front (add --port or --http-port)"
         )
     if args.replica_id is not None and (
-        args.supervised or args.replicas > 1 or args.port is None
+        args.replicas is not None or args.port is None
     ):
         raise ConfigurationError(
             "--replica-id names a single --port server; replica fleets "
             "name their members r0..r{N-1} themselves"
         )
-    if args.restart_budget is not None and not args.supervised:
+    if args.restart_budget is not None and args.replicas is None:
         raise ConfigurationError(
-            "--restart-budget only applies with --supervised "
+            "--restart-budget only applies with --replicas "
             "(nothing restarts otherwise)"
         )
-    if args.supervised:
+    if args.replicas is not None:
         if args.http_port is not None:
             raise ConfigurationError(
-                "--supervised runs JPSE replicas; it does not combine "
+                "--replicas runs JPSE replicas; it does not combine "
                 "with --http-port"
-            )
-        if args.port is None:
-            raise ConfigurationError(
-                "--supervised requires --port (use --port 0 for "
-                "all-ephemeral replica ports)"
-            )
-        return _serve_supervised(args)
-    if args.replicas > 1:
-        if args.fault_spec is not None:
-            raise ConfigurationError(
-                "--fault-spec with a replica fleet requires --supervised "
-                "(in-process replicas share a fate; a crash fault would "
-                "kill them all)"
-            )
-        if args.http_port is not None:
-            raise ConfigurationError(
-                "--replicas runs the JPSE front; it does not combine with "
-                "--http-port (front a shared service instead)"
             )
         if args.port is None:
             raise ConfigurationError(
                 "--replicas requires --port (use --port 0 for "
                 "all-ephemeral replica ports)"
             )
-        return _serve_cluster(args)
+        return _serve_supervised(args)
     if args.http_port is not None:
         return _serve_http(args)
     if args.port is not None:
@@ -564,51 +539,16 @@ def _serve_http(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """Run N server replicas; block until one is shut down (or Ctrl-C)."""
-    from repro.serving.cluster import JumpPoseCluster
-
-    _reject_clips_dir_for("--replicas", args)
-    cluster = JumpPoseCluster(
-        args.model,
-        replicas=args.replicas,
-        host=args.host,
-        base_port=args.port,
-        jobs=args.jobs,
-        batch_size=args.batch_size,
-        decode=args.decode,
-    )
-    _install_drain_handlers(cluster.request_shutdown)
-    try:
-        cluster.start()
-        endpoints = ",".join(
-            f"{host}:{port}" for host, port in cluster.addresses
-        )
-        print(f"serving {args.model} on {args.replicas} replicas: "
-              f"{endpoints} (jobs={args.jobs}, "
-              f"batch-size={args.batch_size})")
-        print(f"route clients with: analyze CLIP --connect {endpoints}")
-        cluster.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        cluster.close()
-        print()
-        print(cluster.render_stats())
-    return 0
-
-
 def _serve_supervised(args: argparse.Namespace) -> int:
     """Run N replicas as supervised OS processes; block until a signal.
 
-    Unlike ``_serve_cluster``'s in-process replicas, these can crash
-    alone and come back: the supervisor restarts dead or unresponsive
-    replicas with backoff and re-admits them into rotation after
-    consecutive healthy probes (see ``docs/scaling.md``).
+    Each replica can crash alone and come back: the supervisor restarts
+    dead or unresponsive replicas with backoff and re-admits them into
+    rotation after consecutive healthy probes (see ``docs/scaling.md``).
     """
     from repro.serving.supervisor import ReplicaSupervisor
 
-    _reject_clips_dir_for("--supervised", args)
+    _reject_clips_dir_for("--replicas", args)
     fault_specs = None
     if args.fault_spec is not None:
         # the demo shape: every replica armed the same way (tests wanting
@@ -665,7 +605,8 @@ def _command_stats(args: argparse.Namespace) -> int:
     precisely when part of it is down.
     """
     from repro.serving.client import JumpPoseClient
-    from repro.serving.cluster import merge_service_stats, rollup_health
+    from repro.serving.service import merge_service_stats
+    from repro.serving.supervisor import rollup_health
 
     endpoints = _parse_endpoints(args.connect)
     replicas: "dict[str, dict[str, object]]" = {}

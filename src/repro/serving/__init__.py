@@ -10,7 +10,8 @@ Three layers, bottom-up:
   fixed-lag smoothing, one frame at a time;
 * :mod:`repro.serving.service` — :class:`JumpPoseService`, a pool of
   long-lived workers sharing one loaded artifact, with micro-batching
-  and throughput/latency accounting;
+  and throughput/latency accounting (:func:`merge_service_stats` rolls
+  per-replica accounting up into fleet totals);
 * :mod:`repro.serving.protocol` — the versioned, length-prefixed
   JSON/binary wire format (frame codec, blob packing, result codec);
 * :mod:`repro.serving.core` — :class:`~repro.serving.core.RequestCore`, the
@@ -22,12 +23,10 @@ Three layers, bottom-up:
 * :mod:`repro.serving.http` — :class:`JumpPoseHttpServer`, the
   HTTP/1.1 + JSON gateway for producers that speak HTTP rather than
   JPSE frames (browsers, load-balancers, ``curl``);
-* :mod:`repro.serving.cluster` — :class:`JumpPoseCluster`, N server
-  replicas of one artifact with a per-replica stats roll-up and
-  graceful cluster-wide drain;
 * :mod:`repro.serving.supervisor` — :class:`ReplicaSupervisor`, the
-  process-level fleet: replicas as real OS processes, crash-detected,
-  restarted with backoff, health-probed back into rotation;
+  fleet (``serve --replicas N``): replicas as real OS processes,
+  crash-detected, restarted with backoff, health-probed back into
+  rotation, with :func:`rollup_health` as the fleet-status vocabulary;
 * :mod:`repro.serving.faults` — :class:`FaultInjector`, deterministic
   fault injection (crash/hang/slow/drop/corrupt) for supervision
   drills and tests;
@@ -53,11 +52,6 @@ from repro.serving.client import (
     JumpPoseClient,
     RoutingClient,
 )
-from repro.serving.cluster import (
-    JumpPoseCluster,
-    merge_service_stats,
-    rollup_health,
-)
 from repro.serving.faults import FaultInjector, FaultRule, parse_fault_spec
 from repro.serving.http import JumpPoseHttpServer
 from repro.serving.net import JumpPoseServer
@@ -67,9 +61,13 @@ from repro.serving.protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
 )
-from repro.serving.service import JumpPoseService, ServiceStats
+from repro.serving.service import (
+    JumpPoseService,
+    ServiceStats,
+    merge_service_stats,
+)
 from repro.serving.streaming import StreamingDecoder, StreamingSession
-from repro.serving.supervisor import ReplicaSupervisor
+from repro.serving.supervisor import ReplicaSupervisor, rollup_health
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -85,7 +83,6 @@ __all__ = [
     "FaultRule",
     "HttpJumpPoseClient",
     "JumpPoseClient",
-    "JumpPoseCluster",
     "JumpPoseHttpServer",
     "JumpPoseServer",
     "JumpPoseService",

@@ -1,4 +1,4 @@
-"""Typed clients for the serving fronts: JPSE sockets, HTTP/JSON, clusters.
+"""Typed clients for the serving fronts: JPSE sockets, HTTP/JSON, fleets.
 
 :class:`JumpPoseClient` owns one TCP connection to a
 :class:`~repro.serving.net.JumpPoseServer` and speaks the framed JPSE
@@ -962,7 +962,8 @@ class RoutingClient:
 
     The scale-out counterpart of :class:`JumpPoseClient`: given the
     addresses of N :class:`~repro.serving.net.JumpPoseServer` replicas
-    (typically a :class:`~repro.serving.cluster.JumpPoseCluster`), it
+    (typically a :class:`~repro.serving.supervisor.ReplicaSupervisor`'s
+    :attr:`~repro.serving.supervisor.ReplicaSupervisor.addresses`), it
     shards each ``analyze_clips`` request across them, dispatches the
     shards concurrently, and merges the replies back into input order —
     **bit-identical** to what a single server (or a local
@@ -1129,6 +1130,13 @@ class RoutingClient:
             self._alive.discard(index)
             self._clients[index].close()
             return True
+
+    def _mark_dead(self, indices: "list[int]") -> None:
+        """Drop failed replicas from rotation and close their stale clients."""
+        with self._alive_lock:
+            for index in indices:
+                self._alive.discard(index)
+                self._clients[index].close()
 
     def close(self) -> None:
         """Drop every per-replica connection; safe to call twice."""
@@ -1304,12 +1312,9 @@ class RoutingClient:
                 thread.start()
             for thread in threads:
                 thread.join()
+            self._mark_dead(dead)  # even when a fatal error raises next
             if fatal:
                 raise fatal[0]
-            with self._alive_lock:
-                for index in dead:
-                    self._alive.discard(index)
-                    self._clients[index].close()
             pending = redispatch
         assert all(result is not None for result in results)
         emit_event(
@@ -1402,12 +1407,9 @@ class RoutingClient:
             thread.start()
         for thread in threads:
             thread.join()
+        self._mark_dead(dead)
         if fatal:
             raise fatal[0]
-        with self._alive_lock:
-            for index in dead:
-                self._alive.discard(index)
-                self._clients[index].close()
         if len(outcomes) < 2:
             raise TransportError(
                 f"redundant routing got {len(outcomes)} answers from "
@@ -1448,9 +1450,7 @@ class RoutingClient:
             try:
                 pongs[f"{host}:{port}"] = self._clients[index].ping()
             except TransportError:
-                with self._alive_lock:
-                    self._alive.discard(index)
-                    self._clients[index].close()
+                self._mark_dead([index])
         return pongs
 
     def stats(self) -> "dict[str, dict[str, object]]":
@@ -1472,9 +1472,7 @@ class RoutingClient:
             try:
                 rollup[f"{host}:{port}"] = self._clients[index].stats()
             except TransportError:
-                with self._alive_lock:
-                    self._alive.discard(index)
-                    self._clients[index].close()
+                self._mark_dead([index])
         if not rollup:
             raise TransportError(
                 f"all {len(self.addresses)} replicas are unreachable"

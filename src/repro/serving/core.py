@@ -208,8 +208,7 @@ class RequestCore:
 
         Returns:
             ``{"requests": ..., "errors": ..., "request_stages": ...}``
-            — the ``server`` block of the stats reply, also read by the
-            cluster roll-up so both views cannot diverge.
+            — the ``server`` block of the stats reply.
         """
         with self._lock:
             return {

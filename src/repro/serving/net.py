@@ -117,8 +117,8 @@ class JumpPoseServer:
             :class:`~repro.serving.service.JumpPoseService` the request
             core builds.
         replica_id: optional replica name surfaced by ``ping`` and the
-            ``stats`` roll-up (set by
-            :class:`~repro.serving.cluster.JumpPoseCluster`).
+            ``stats`` roll-up (``serve --replica-id``, set by
+            :class:`~repro.serving.supervisor.ReplicaSupervisor`).
         max_payload_bytes: per-request payload ceiling (oversized length
             prefixes are rejected before allocation).
         idle_timeout_s: per-connection socket timeout.
@@ -562,8 +562,7 @@ class JumpPoseServer:
 
         Returns:
             ``{"requests": ..., "errors": ..., "request_stages": ...}``
-            — the ``server`` block of the ``stats`` reply, also consumed
-            by the cluster roll-up so both views cannot diverge.
+            — the ``server`` block of the ``stats`` reply.
         """
         return self.core.server_stats_snapshot()
 

@@ -31,7 +31,7 @@ from repro.core.pipeline import JumpPoseAnalyzer
 from repro.core.results import ClipResult
 from repro.errors import ConfigurationError, ModelError
 from repro.obs.metrics import get_registry
-from repro.obs.quality import ClipQuality, alert_state
+from repro.obs.quality import ClipQuality, alert_state, merge_quality
 from repro.perf.timing import ProfileReport, Timer
 from repro.serving.artifacts import load_analyzer, read_artifact_metadata
 
@@ -186,9 +186,9 @@ class ServiceStats:
 
     ``replica_id`` names the service these numbers belong to once many
     replicas serve the same artifact (see
-    :class:`~repro.serving.cluster.JumpPoseCluster`): a roll-up that
-    merges stats across replicas would otherwise lose which replica did
-    the work.  ``None`` (the default) means a standalone, unnamed
+    :class:`~repro.serving.supervisor.ReplicaSupervisor`): a roll-up
+    that merges stats across replicas (:func:`merge_service_stats`)
+    would otherwise lose which replica did the work.  ``None`` (the default) means a standalone, unnamed
     service; when set, :meth:`as_dict` carries it so every stats payload
     is attributable.
     """
@@ -288,6 +288,48 @@ class ServiceStats:
         return "\n".join(lines)
 
 
+def merge_service_stats(
+    snapshots: "dict[str, dict[str, object]]",
+) -> "dict[str, object]":
+    """Cross-replica totals from per-replica ``ServiceStats`` payloads.
+
+    Counters (``clips``, ``frames``) and wall-clock sum; throughput is
+    recomputed from the summed counters over the summed wall — with
+    replicas serving in parallel their walls overlap, so the summed
+    wall is busy-seconds across replicas (it can exceed elapsed time)
+    and the recomputed throughput is a *conservative* fleet rate.
+    Latency quantiles are omitted on purpose: quantiles measured over
+    different windows cannot be merged, so they remain in the
+    per-replica blocks.  Pose-quality counters *do* compose: the
+    per-replica ``quality`` blocks are summed by
+    :func:`repro.obs.quality.merge_quality` and the fleet-level alert
+    state is recomputed from the merged flagged-clip fraction, so one
+    replica decoding garbage flips the whole rollup's ``alert``.
+
+    Args:
+        snapshots: ``replica_id -> ServiceStats.as_dict()`` payloads.
+
+    Returns:
+        A dict with ``clips``, ``frames``, ``wall_s``,
+        ``clip_throughput``, ``frame_throughput``, ``replicas``
+        (the count merged over), and the merged ``quality`` block.
+    """
+    clips = sum(int(snap.get("clips", 0)) for snap in snapshots.values())
+    frames = sum(int(snap.get("frames", 0)) for snap in snapshots.values())
+    wall_s = sum(float(snap.get("wall_s", 0.0)) for snap in snapshots.values())
+    return {
+        "replicas": len(snapshots),
+        "clips": clips,
+        "frames": frames,
+        "wall_s": wall_s,
+        "clip_throughput": clips / wall_s if wall_s > 0 else 0.0,
+        "frame_throughput": frames / wall_s if wall_s > 0 else 0.0,
+        "quality": merge_quality(
+            snap.get("quality") for snap in snapshots.values()
+        ),
+    }
+
+
 class JumpPoseService:
     """Serve pose decoding from one saved artifact, without retraining.
 
@@ -305,7 +347,8 @@ class JumpPoseService:
             artifact's stored classifier configuration.
         replica_id: optional name identifying this service instance in
             stats payloads when many replicas serve the same artifact
-            (set by :class:`~repro.serving.cluster.JumpPoseCluster`).
+            (``serve --replica-id``, set by
+            :class:`~repro.serving.supervisor.ReplicaSupervisor`).
         fault_injector: optional
             :class:`~repro.serving.faults.FaultInjector` consulted once
             per dispatch (request type ``"dispatch"``, which only

@@ -1,11 +1,12 @@
 """Process-level replica supervision: spawn, probe, restart, re-admit.
 
-:class:`~repro.serving.cluster.JumpPoseCluster` scales the JPSE front to
-N replicas *in one process* — which means replicas share the GIL and a
-fate: none can crash alone, none can be restarted, and throughput stops
-scaling at one core (``BENCH_cluster.json``).  :class:`ReplicaSupervisor`
-is the production shape: each replica is a real OS process running the
-``serve`` CLI entrypoint, and a monitor thread closes the failure loop —
+The scale-out unit is *more servers of the same artifact* — the DBN
+decode is per clip, so sharded output merged in input order is
+bit-identical to one server's.  :class:`ReplicaSupervisor` is the one
+fleet manager (the CLI's ``serve --replicas N`` mode): each replica is
+a real OS process running the ``serve`` CLI entrypoint, so replicas
+crash alone, restart alone, and scale past the GIL.  A monitor thread
+closes the failure loop —
 
 1. **Detect.**  Process liveness (``Popen.poll``) catches crashes and
    kills; a periodic protocol ``ping`` with a hard deadline catches
@@ -16,9 +17,8 @@ is the production shape: each replica is a real OS process running the
    cannot hot-loop the CPU and a fleet of restarts cannot synchronise.
 3. **Give up, visibly.**  Restarts draw from a budget; when the budget
    is exhausted the replica is marked ``failed`` and left down — the
-   fleet reports ``degraded`` (see
-   :func:`~repro.serving.cluster.rollup_health`) and keeps serving on
-   the survivors instead of dying in a restart storm.  Sustained health
+   fleet reports ``degraded`` (see :func:`rollup_health`) and keeps
+   serving on the survivors instead of dying in a restart storm.  Sustained health
    refills the budget, so a flap long past is not held against a
    replica forever.
 4. **Re-admit.**  A restarted replica rejoins routing only after K
@@ -56,7 +56,6 @@ from repro.errors import ConfigurationError, ReproError, TransportError
 from repro.obs.events import emit_event
 from repro.obs.metrics import get_registry
 from repro.serving.client import JumpPoseClient
-from repro.serving.cluster import rollup_health
 from repro.serving.faults import FAULT_SEED_ENV, FAULTS_ENV
 from repro.serving.service import (
     SUPERVISION_LAST_ERROR_ENV,
@@ -92,6 +91,30 @@ DEFAULT_START_GRACE_S = 30.0
 
 #: Seconds a SIGTERM'd replica gets to drain before SIGKILL.
 DEFAULT_TERM_GRACE_S = 10.0
+
+
+def rollup_health(states: "list[str]") -> str:
+    """Fold per-replica states into one fleet status word.
+
+    The vocabulary of :meth:`ReplicaSupervisor.health` and the CLI's
+    ``stats --connect``: ``"ok"`` only when *every* replica is
+    ``healthy``; ``"down"`` only when none is (an empty fleet
+    included); ``"degraded"`` for anything in between — a partially-failed fleet keeps serving and says so,
+    instead of dying or lying.
+
+    Args:
+        states: one state word per replica (``healthy`` counts as up;
+            ``starting``/``degraded``/``restarting``/``failed`` do not).
+
+    Returns:
+        ``"ok"``, ``"degraded"``, or ``"down"``.
+    """
+    healthy = sum(1 for state in states if state == "healthy")
+    if healthy == len(states) and states:
+        return "ok"
+    if healthy == 0:
+        return "down"
+    return "degraded"
 
 
 class _Replica:
@@ -632,7 +655,7 @@ class ReplicaSupervisor:
             ``{"status": "ok"|"degraded"|"down", "replicas": {rid:
             {"state", "address", "pid", "restarts", "budget_used",
             "last_error", "uptime_s"}}}`` — ``status`` via
-            :func:`~repro.serving.cluster.rollup_health` (``ok`` only
+            :func:`rollup_health` (``ok`` only
             when every replica is healthy, ``down`` only when none is).
         """
         now = time.monotonic()
@@ -700,7 +723,7 @@ class ReplicaSupervisor:
         raise ConfigurationError(f"unknown replica id {replica_id!r}")
 
     def render_health(self) -> str:
-        """Human-readable fleet summary for the CLI's supervised mode."""
+        """Human-readable fleet summary for the CLI's ``serve --replicas``."""
         health = self.health()
         lines = [f"fleet status: {health['status']}"]
         for rid, block in health["replicas"].items():

@@ -30,6 +30,7 @@ Markers (registered in the repo-root ``conftest.py``; run with
 
 from __future__ import annotations
 
+import contextlib
 import signal
 
 import numpy as np
@@ -37,6 +38,7 @@ import pytest
 
 from repro.core.estimator import VisionFrontEnd
 from repro.experiments.protocol import pilot_dataset, trained_pilot_analyzer
+from repro.serving.net import JumpPoseServer
 from repro.skeleton.pipeline import SkeletonExtractor
 from repro.synth.dataset import make_clip
 
@@ -81,6 +83,30 @@ def front_end():
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(1234)
+
+
+@contextlib.contextmanager
+def _replica_servers(artifact, replicas, **server_kwargs):
+    with contextlib.ExitStack() as stack:
+        yield [
+            stack.enter_context(
+                JumpPoseServer(artifact, replica_id=f"r{index}", **server_kwargs)
+            )
+            for index in range(replicas)
+        ]
+
+
+@pytest.fixture(scope="session")
+def replica_servers():
+    """Start N in-process :class:`JumpPoseServer` replicas of one artifact.
+
+    ``with replica_servers(artifact, 3) as servers:`` serves ``r0..r2``
+    on ephemeral loopback ports (extra keyword arguments go to every
+    server) and closes them all on exit.  Routing tests "kill" a replica
+    by closing its server.  This is a test fixture, not a fleet manager:
+    the fleet is :class:`~repro.serving.supervisor.ReplicaSupervisor`.
+    """
+    return _replica_servers
 
 
 #: Default wall-clock budget for a ``network``-marked test — generous,

@@ -58,26 +58,6 @@ def test_uniform_helper():
     assert np.allclose(cpd.table, 0.5)
 
 
-def test_from_counts_mle_alpha_zero():
-    counts = np.array([[8.0, 0.0], [2.0, 0.0]])
-    cpd = TabularCPD.from_counts(CHILD, (P1,), counts, alpha=0.0)
-    assert cpd.table[:, 0].tolist() == [0.8, 0.2]
-    # Zero-count column falls back to uniform instead of NaN.
-    assert cpd.table[:, 1].tolist() == [0.5, 0.5]
-
-
-def test_from_counts_dirichlet_smoothing():
-    counts = np.array([[3.0], [0.0]]).reshape(2, 1)
-    cpd = TabularCPD.from_counts(CHILD, (P1,), np.array([[3.0, 1.0], [0.0, 1.0]]), alpha=1.0)
-    assert cpd.table[0, 0] == pytest.approx(4 / 5)
-    assert cpd.table[1, 0] == pytest.approx(1 / 5)
-
-
-def test_from_counts_negative_alpha():
-    with pytest.raises(ModelError):
-        TabularCPD.from_counts(CHILD, (), np.ones(2), alpha=-1)
-
-
 def test_table_read_only():
     cpd = TabularCPD.uniform(CHILD)
     with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from repro.serving.client import (
     JumpPoseClient,
     RoutingClient,
 )
-from repro.serving.cluster import JumpPoseCluster
 from repro.serving.http import JumpPoseHttpServer
 from repro.serving.net import JumpPoseServer
 
@@ -139,7 +138,7 @@ def test_http_echoes_x_request_id(artifact):
 
 @pytest.mark.network(timeout=180)
 def test_routed_call_with_killed_replica_is_one_trace(
-    artifact, dataset, analyzer, tmp_path
+    artifact, replica_servers, dataset, analyzer, tmp_path
 ):
     """The acceptance criterion: after a replica dies, one routed call
     still resolves to a single trace_id across the router's dispatch /
@@ -148,11 +147,12 @@ def test_routed_call_with_killed_replica_is_one_trace(
     clips = list(dataset.test) * 3
     local = analyzer.analyze_clips(clips)
     path = tmp_path / "routed.jsonl"
-    with JumpPoseCluster(artifact, replicas=3) as fleet:
-        with RoutingClient(fleet.addresses, timeout_s=30.0,
+    with replica_servers(artifact, 3) as servers:
+        addresses = [server.address for server in servers]
+        with RoutingClient(addresses, timeout_s=30.0,
                            connect_retries=1, retry_delay_s=0.05) as router:
             assert router.analyze_clips(clips) == local  # warm-up, unlogged
-            fleet.servers[1].close()  # one replica dies
+            servers[1].close()  # one replica dies
             configure_event_log(path)
             try:
                 routed = router.analyze_clips(clips)

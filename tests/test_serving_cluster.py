@@ -1,12 +1,14 @@
-"""Cluster conformance: replicas scale throughput, never change results.
+"""Routing conformance: replicas scale throughput, never change results.
 
 The acceptance criteria under test: a sharded
 ``RoutingClient.analyze_clips`` over several replicas is **bit-identical**
 (results *and* order) to a single-server request and to a local
 ``JumpPoseAnalyzer.analyze_clips`` — including when one replica is killed
 mid-run and its shard fails over to the survivors.  Plus the stats
-roll-up satellite: every replica's numbers stay attributable by replica
-id after aggregation.
+roll-up: every replica's numbers stay attributable by replica id after
+aggregation.  The replicas are in-process servers from the
+``replica_servers`` fixture; the supervised process fleet has its own
+suite in ``tests/test_serving_supervisor.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigurationError, RemoteError, TransportError
+from repro.errors import (
+    ConfigurationError,
+    ProtocolError,
+    RemoteError,
+    TransportError,
+)
 from repro.serving.client import (
     HASH_RING_POINTS,
     ROUTING_POLICIES,
@@ -24,7 +31,8 @@ from repro.serving.client import (
     RoutingClient,
 )
 from repro.obs.quality import empty_quality_totals
-from repro.serving.cluster import JumpPoseCluster, merge_service_stats
+from repro.serving.faults import FaultInjector
+from repro.serving.service import merge_service_stats
 from repro.synth.io import save_clip
 
 
@@ -35,16 +43,21 @@ def artifact(tmp_path_factory, analyzer):
 
 
 @pytest.fixture(scope="module")
-def cluster(artifact):
+def fleet(artifact, replica_servers):
     """Three replicas of the pilot artifact, shared by read-only tests."""
-    with JumpPoseCluster(artifact, replicas=3) as running:
-        yield running
+    with replica_servers(artifact, 3) as servers:
+        yield servers
+
+
+@pytest.fixture(scope="module")
+def addresses(fleet):
+    return [server.address for server in fleet]
 
 
 @pytest.fixture(scope="module")
 def clips(dataset):
     """Six clips (the two pilot test clips, three rounds) so every
-    replica of a 3-cluster receives work under round-robin."""
+    replica of a 3-replica fleet receives work under round-robin."""
     return list(dataset.test) * 3
 
 
@@ -54,38 +67,24 @@ def local_results(analyzer, clips):
 
 
 # ----------------------------------------------------------------------
-# Cluster lifecycle + identity
+# Replica identity
 # ----------------------------------------------------------------------
 pytestmark = pytest.mark.network
 
 
-def test_cluster_spawns_named_replicas(cluster):
-    assert cluster.replica_ids == ["r0", "r1", "r2"]
-    assert len({address for address in cluster.addresses}) == 3
-    assert cluster.healthy() == {"r0": True, "r1": True, "r2": True}
-    assert cluster.is_running
-
-
-def test_ping_reports_replica_identity(cluster):
-    for replica_id, (host, port) in zip(
-        cluster.replica_ids, cluster.addresses
-    ):
+def test_ping_reports_replica_identity(addresses):
+    for index, (host, port) in enumerate(addresses):
         with JumpPoseClient(host, port, timeout_s=10.0) as probe:
-            assert probe.ping()["replica_id"] == replica_id
-
-
-def test_cluster_validation(artifact):
-    with pytest.raises(ConfigurationError, match="replicas"):
-        JumpPoseCluster(artifact, replicas=0)
+            assert probe.ping()["replica_id"] == f"r{index}"
 
 
 # ----------------------------------------------------------------------
 # Routing policies: bit-identity and stickiness
 # ----------------------------------------------------------------------
 @pytest.mark.network(timeout=120)
-def test_round_robin_sharding_bit_identical(cluster, clips, local_results):
+def test_round_robin_sharding_bit_identical(addresses, clips, local_results):
     """The headline acceptance criterion, round-robin flavour."""
-    with RoutingClient(cluster.addresses, policy="round-robin",
+    with RoutingClient(addresses, policy="round-robin",
                        timeout_s=20.0) as router:
         routed = router.analyze_clips(clips)
     assert routed == local_results
@@ -93,28 +92,28 @@ def test_round_robin_sharding_bit_identical(cluster, clips, local_results):
 
 
 @pytest.mark.network(timeout=120)
-def test_clip_hash_sharding_bit_identical(cluster, clips, local_results):
-    with RoutingClient(cluster.addresses, policy="clip-hash",
+def test_clip_hash_sharding_bit_identical(addresses, clips, local_results):
+    with RoutingClient(addresses, policy="clip-hash",
                        timeout_s=20.0) as router:
         routed = router.analyze_clips(clips)
         # single-server comparison: replica 0 alone gives the same answer
-        host, port = cluster.addresses[0]
+        host, port = addresses[0]
         with JumpPoseClient(host, port, timeout_s=20.0) as single:
             assert single.analyze_clips(clips) == routed
     assert routed == local_results
 
 
-def test_clip_hash_is_sticky_and_consistent(cluster):
+def test_clip_hash_is_sticky_and_consistent(addresses):
     """Same clip id → same replica; removing a replica only remaps its
     own clips (the consistency guarantee docs/scaling.md promises)."""
-    router = RoutingClient(cluster.addresses, policy="clip-hash")
+    router = RoutingClient(addresses, policy="clip-hash")
     everyone = set(range(3))
     clip_ids = [f"clip-{n:03d}" for n in range(64)]
     placement = {
         cid: router._replica_for_clip(cid, everyone) for cid in clip_ids
     }
     # deterministic across router instances (no process-seed hashing)
-    again = RoutingClient(cluster.addresses, policy="clip-hash")
+    again = RoutingClient(addresses, policy="clip-hash")
     assert placement == {
         cid: again._replica_for_clip(cid, everyone) for cid in clip_ids
     }
@@ -142,29 +141,34 @@ def test_routing_client_validation():
 # Failover
 # ----------------------------------------------------------------------
 @pytest.mark.network(timeout=180)
-def test_failover_after_replica_death(artifact, clips, local_results):
+def test_failover_after_replica_death(
+    artifact, replica_servers, clips, local_results
+):
     """A replica that died between requests is detected and re-dispatched."""
-    with JumpPoseCluster(artifact, replicas=3) as fleet:
-        addresses = fleet.addresses
+    with replica_servers(artifact, 3) as servers:
+        addresses = [server.address for server in servers]
         with RoutingClient(addresses, timeout_s=20.0,
                            connect_retries=1, retry_delay_s=0.05) as router:
             assert router.analyze_clips(clips) == local_results
-            fleet.servers[1].close()  # dies with connections established
+            servers[1].close()  # dies with connections established
             assert router.analyze_clips(clips) == local_results
             assert len(router.alive_addresses) == 2
             assert addresses[1] not in router.alive_addresses
 
 
 @pytest.mark.network(timeout=180)
-def test_failover_mid_request_is_bit_identical(artifact, clips, local_results):
+def test_failover_mid_request_is_bit_identical(
+    artifact, replica_servers, clips, local_results
+):
     """The acceptance criterion: kill one replica *mid-run* and the merged
     output still matches the local decode bit for bit."""
-    with JumpPoseCluster(artifact, replicas=3, drain_timeout_s=0.0) as fleet:
-        with RoutingClient(fleet.addresses, timeout_s=20.0,
+    with replica_servers(artifact, 3, drain_timeout_s=0.0) as servers:
+        addresses = [server.address for server in servers]
+        with RoutingClient(addresses, timeout_s=20.0,
                            connect_retries=1, retry_delay_s=0.05) as router:
             # the kill lands while shards are in flight (decode of the
             # first clips takes well over 0.3s on any machine)
-            killer = threading.Timer(0.3, fleet.servers[0].close)
+            killer = threading.Timer(0.3, servers[0].close)
             killer.start()
             try:
                 routed = router.analyze_clips(clips)
@@ -173,10 +177,12 @@ def test_failover_mid_request_is_bit_identical(artifact, clips, local_results):
             assert routed == local_results
 
 
-def test_all_replicas_dead_raises_transport_error(artifact, dataset):
-    with JumpPoseCluster(artifact, replicas=2) as fleet:
-        addresses = fleet.addresses
-    # the cluster is closed: every connect now fails
+def test_all_replicas_dead_raises_transport_error(
+    artifact, replica_servers, dataset
+):
+    with replica_servers(artifact, 2) as servers:
+        addresses = [server.address for server in servers]
+    # every server is closed: every connect now fails
     with RoutingClient(addresses, timeout_s=2.0, connect_retries=0,
                        retry_delay_s=0.01) as router:
         with pytest.raises(TransportError, match="unreachable"):
@@ -184,10 +190,10 @@ def test_all_replicas_dead_raises_transport_error(artifact, dataset):
 
 
 @pytest.mark.network(timeout=120)
-def test_remote_errors_are_not_failover(cluster, tmp_path):
+def test_remote_errors_are_not_failover(addresses, tmp_path):
     """A library-level failure propagates instead of killing replicas:
     the same request would fail identically on every replica."""
-    with RoutingClient(cluster.addresses, timeout_s=20.0) as router:
+    with RoutingClient(addresses, timeout_s=20.0) as router:
         with pytest.raises(RemoteError):
             # analyze_paths is not routed, but a RemoteError through the
             # per-replica client must not mark the replica dead either
@@ -195,38 +201,54 @@ def test_remote_errors_are_not_failover(cluster, tmp_path):
         assert len(router.alive_addresses) == 3
 
 
+@pytest.mark.network(timeout=120)
+def test_fatal_shard_error_still_evicts_failed_over_replicas(
+    artifact, replica_servers, dataset
+):
+    """A routed call that raises keeps its own failover evictions: r0 is
+    down (transport failure, failover) while r1 corrupts its reply (a
+    ProtocolError, which is fatal) in the same dispatch round — after
+    the raise, the dead r0 must already be out of rotation instead of
+    being dialled (and failed over) again by the next call."""
+    corrupt = FaultInjector.from_spec("corrupt@1:analyze_clips")
+    with replica_servers(artifact, 2, fault_injector=corrupt) as servers:
+        addresses = [server.address for server in servers]
+        servers[0].close()
+        with RoutingClient(addresses, timeout_s=20.0, connect_retries=0,
+                           retry_delay_s=0.01) as router:
+            # round-robin: clip 0 -> r0 (down), clip 1 -> r1 (corrupt)
+            with pytest.raises(ProtocolError):
+                router.analyze_clips(list(dataset.test)[:2])
+            assert router.alive_addresses == [addresses[1]]
+
+
 # ----------------------------------------------------------------------
-# Stats roll-up (the stale-stats satellite)
+# Stats roll-up: RoutingClient.stats() + merge_service_stats
 # ----------------------------------------------------------------------
 @pytest.mark.network(timeout=120)
-def test_stats_rollup_keeps_replica_identity(cluster, clips, local_results):
-    with RoutingClient(cluster.addresses, timeout_s=20.0) as router:
+def test_stats_rollup_keeps_replica_identity(addresses, clips, local_results):
+    with RoutingClient(addresses, timeout_s=20.0) as router:
         assert router.analyze_clips(clips) == local_results
         client_side = router.stats()
-    rollup = cluster.stats()
-    assert set(rollup["replicas"]) == {"r0", "r1", "r2"}
-    for replica_id, block in rollup["replicas"].items():
-        served = block["service"]
-        if served["clips"]:
-            # the service payload itself carries the id, so merged
-            # scrapes stay attributable
-            assert served["replica_id"] == replica_id
-    totals = rollup["cluster"]
+    by_replica = {
+        payload.get("replica_id"): payload for payload in client_side.values()
+    }
+    assert set(by_replica) == {"r0", "r1", "r2"}
+    for replica_id, payload in by_replica.items():
+        served = payload["service"]
+        assert served["clips"]  # round-robin gave every replica work
+        # the service payload itself carries the id, so merged
+        # scrapes stay attributable
+        assert served["replica_id"] == replica_id
+    totals = merge_service_stats(
+        {rid: payload["service"] for rid, payload in by_replica.items()}
+    )
     assert totals["replicas"] == 3
     assert totals["clips"] == sum(
-        block["service"]["clips"] for block in rollup["replicas"].values()
-    )
-    assert totals["requests"] == sum(
-        block["server"]["requests"] for block in rollup["replicas"].values()
+        payload["service"]["clips"] for payload in by_replica.values()
     )
     # latency quantiles stay per-replica (they do not compose)
     assert "latency_p95_s" not in totals
-    # the client-side roll-up reports the same replica ids
-    reported = {
-        payload.get("replica_id") for payload in client_side.values()
-    }
-    assert reported == {"r0", "r1", "r2"}
-    assert "replicas" in cluster.render_stats().splitlines()[0]
 
 
 def test_merge_service_stats_totals():
@@ -293,10 +315,10 @@ def test_cli_serve_replicas_validation(tmp_path):
 
 
 @pytest.mark.network(timeout=120)
-def test_cli_analyze_multi_endpoint_routes(cluster, dataset, tmp_path, capsys):
+def test_cli_analyze_multi_endpoint_routes(addresses, dataset, tmp_path, capsys):
     clip = dataset.test[0]
     clip_path = save_clip(clip, tmp_path / "routed-clip.npz")
-    endpoints = ",".join(f"{h}:{p}" for h, p in cluster.addresses)
+    endpoints = ",".join(f"{h}:{p}" for h, p in addresses)
     code = main(["analyze", str(clip_path), "--connect", endpoints])
     assert code == 0
     assert "accuracy vs ground truth" in capsys.readouterr().out

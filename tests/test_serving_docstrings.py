@@ -108,12 +108,12 @@ def test_docstrings_of_named_apis_state_their_raises():
 
 
 def test_scaleout_apis_state_their_contracts():
-    """The PR-5 surface: router, cluster, pipelining, streaming — every
+    """The scale-out surface: router, fleet, pipelining, streaming — every
     entry point documents its failure modes and its ordering/identity
     guarantees."""
     from repro.serving.client import JumpPoseClient, RoutingClient
-    from repro.serving.cluster import JumpPoseCluster, merge_service_stats
-    from repro.serving.service import JumpPoseService
+    from repro.serving.service import JumpPoseService, merge_service_stats
+    from repro.serving.supervisor import ReplicaSupervisor, rollup_health
 
     routed = inspect.getdoc(RoutingClient.analyze_clips)
     assert "RemoteError" in routed and "TransportError" in routed
@@ -128,7 +128,7 @@ def test_scaleout_apis_state_their_contracts():
     assert "RemoteError" in streamed and "TransportError" in streamed
     assert "ClipResult" in streamed
 
-    assert "OSError" in inspect.getdoc(JumpPoseCluster.start)
-    assert "ConfigurationError" in inspect.getdoc(JumpPoseCluster)
+    assert "ConfigurationError" in inspect.getdoc(ReplicaSupervisor)
+    assert "degraded" in inspect.getdoc(rollup_health)
     assert "quantile" in inspect.getdoc(merge_service_stats).lower()
     assert "ModelError" in inspect.getdoc(JumpPoseService.stream_clip)

@@ -277,10 +277,10 @@ def test_flapping_replica_exhausts_budget_fleet_degrades_but_serves(
 # CLI integration: flags, signals, graceful drain
 # ----------------------------------------------------------------------
 def test_cli_supervised_flag_validation(artifact):
-    with pytest.raises(ConfigurationError, match="--supervised requires"):
-        main(["serve", "--model", str(artifact), "--supervised"])
+    with pytest.raises(ConfigurationError, match="--replicas requires"):
+        main(["serve", "--model", str(artifact), "--replicas", "2"])
     with pytest.raises(ConfigurationError, match="--http-port"):
-        main(["serve", "--model", str(artifact), "--supervised",
+        main(["serve", "--model", str(artifact), "--replicas", "2",
               "--http-port", "0"])
     with pytest.raises(ConfigurationError, match="--restart-budget"):
         main(["serve", "--model", str(artifact), "--restart-budget", "3"])
@@ -289,11 +289,8 @@ def test_cli_supervised_flag_validation(artifact):
     with pytest.raises(ConfigurationError, match="--fault-spec"):
         main(["serve", "--model", str(artifact), "--fault-spec", "crash@1"])
     with pytest.raises(ConfigurationError, match="--replica-id"):
-        main(["serve", "--model", str(artifact), "--replicas", "2",
+        main(["serve", "--model", str(artifact), "--replicas", "1",
               "--port", "0", "--replica-id", "r0"])
-    with pytest.raises(ConfigurationError, match="requires --supervised"):
-        main(["serve", "--model", str(artifact), "--replicas", "2",
-              "--port", "0", "--fault-spec", "crash@1"])
 
 
 def _spawn_serve(artifact, *extra):
@@ -346,11 +343,11 @@ def test_cli_sigterm_runs_graceful_drain(artifact):
 
 @pytest.mark.network(timeout=180)
 def test_cli_supervised_serves_and_drains_on_sigterm(artifact):
-    """``serve --supervised`` end to end: replicas come up, answer
+    """``serve --replicas`` end to end: replicas come up, answer
     pings with supervision detail, and SIGTERM drains the whole fleet
     (exit 0 plus the fleet-health report)."""
     process = _spawn_serve(
-        artifact, "--supervised", "--replicas", "2", "--port", "0",
+        artifact, "--replicas", "2", "--port", "0",
         "--restart-budget", "2",
     )
     try:
